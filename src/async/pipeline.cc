@@ -27,7 +27,7 @@ void OpState::Complete(Status s) {
     status_ = std::move(s);
     done_ = true;
   }
-  cv_.NotifyAll();
+  cv_.NotifyOne();
 }
 
 void OpState::CompleteValue(Status s, std::string value) {
@@ -38,7 +38,7 @@ void OpState::CompleteValue(Status s, std::string value) {
     result_ = Result::kValue;
     done_ = true;
   }
-  cv_.NotifyAll();
+  cv_.NotifyOne();
 }
 
 void OpState::CompleteResp(Status s, core::GetResp resp) {
@@ -49,7 +49,7 @@ void OpState::CompleteResp(Status s, core::GetResp resp) {
     result_ = Result::kResp;
     done_ = true;
   }
-  cv_.NotifyAll();
+  cv_.NotifyOne();
 }
 
 Status OpState::Wait() {
@@ -93,6 +93,7 @@ AsyncPipeline::AsyncPipeline(core::KvRuntime& rt) : rt_(rt) {
   h_repl_batch_ = &reg.GetHistogram("async.repl_batch_size");
   c_op_errors_ = &reg.GetCounter("async.op_errors");
   c_frames_ = &reg.GetCounter("async.frames");
+  c_inline_gets_ = &reg.GetCounter("async.inline_gets");
   h_put_op_us_ = &reg.GetHistogram("async.put_op_us");
   h_get_op_us_ = &reg.GetHistogram("async.get_op_us");
 }
@@ -175,6 +176,63 @@ OpHandle AsyncPipeline::SubmitGet(int dst, uint32_t dbid, const Slice& key,
   return h;
 }
 
+Status AsyncPipeline::GetSync(int dst, uint32_t dbid, const Slice& key,
+                              bool full_search, core::GetResp* resp) {
+  bool idle = false;
+  {
+    MutexLock lock(&mu_);
+    idle = ops_lane_.queued == 0 && ops_lane_.inflight == 0;
+    if (idle) ClaimInflight(&ops_lane_, 1);
+  }
+  if (!idle) {
+    OpHandle h = SubmitGet(dst, dbid, key, full_search);
+    Status s = h->Wait();
+    if (s.ok()) *resp = h->TakeResp();
+    return s;
+  }
+  assert(dst != rt_.rank() && "pipeline never targets the local rank");
+  const uint64_t start_us = NowMicros();
+  c_inline_gets_->Inc();
+  Status s;
+  if (rt_.crashed()) {
+    // Same failure as ProcessCycle's: a crashed rank emits no traffic.
+    s = Status(PAPYRUSKV_ERR, "rank crashed (simulated)");
+  } else {
+    // The one-op frame ProcessCycle would build, sent from this thread;
+    // RequestReply is the retry/timeout ladder.
+    c_frames_->Inc();
+    h_get_batch_->Record(1);
+    const int tag = rt_.AllocRespTag();
+    net::Message reply;
+    {
+      obs::OpSpan rpc("net", "get_multi.rpc");
+      rpc.MarkFlowOut();
+      std::vector<GetMultiOp> ops(1);
+      ops[0].key = key.ToString();
+      ops[0].full_search = full_search;
+      const std::string req = EncodeGetMulti(
+          dbid, static_cast<uint32_t>(tag),
+          static_cast<uint32_t>(rt_.layout().GroupOf(rt_.rank())), ops,
+          rpc.context());
+      s = rt_.RequestReply(dst, core::kOpGetMulti, req, tag, &reply);
+    }
+    if (s.ok()) {
+      std::vector<GetMultiResult> results;
+      if (!core::DecodeGetMultiResp(reply.payload, &results) ||
+          results.size() != 1) {
+        s = Status::Corrupted("bad get multi response");
+      } else {
+        s = Status(results[0].status);
+        *resp = std::move(results[0].resp);
+      }
+    }
+  }
+  if (!s.ok()) c_op_errors_->Inc();
+  h_get_op_us_->Record(NowMicros() - start_us);
+  RetireInflight(&ops_lane_, 1);
+  return s;
+}
+
 void AsyncPipeline::SubmitReplAppend(int dst, uint32_t dbid, uint32_t primary,
                                      uint64_t epoch, uint64_t seq, bool reset,
                                      uint64_t flushed_through,
@@ -225,22 +283,30 @@ void AsyncPipeline::Loop(Lane* lane) {
       }
       work.swap(lane->queues);
       count = lane->queued;
-      lane->inflight += count;
       lane->queued = 0;
       g_depth_->Set(
           static_cast<int64_t>(ops_lane_.queued + repl_lane_.queued));
-      g_inflight_->Set(
-          static_cast<int64_t>(ops_lane_.inflight + repl_lane_.inflight));
+      ClaimInflight(lane, count);
     }
     ProcessCycle(std::move(work));
-    {
-      MutexLock lock(&mu_);
-      lane->inflight -= count;
-      g_inflight_->Set(
-          static_cast<int64_t>(ops_lane_.inflight + repl_lane_.inflight));
-    }
-    drain_cv_.NotifyAll();
+    RetireInflight(lane, count);
   }
+}
+
+void AsyncPipeline::ClaimInflight(Lane* lane, size_t n) {
+  lane->inflight += n;
+  g_inflight_->Set(
+      static_cast<int64_t>(ops_lane_.inflight + repl_lane_.inflight));
+}
+
+void AsyncPipeline::RetireInflight(Lane* lane, size_t n) {
+  {
+    MutexLock lock(&mu_);
+    lane->inflight -= n;
+    g_inflight_->Set(
+        static_cast<int64_t>(ops_lane_.inflight + repl_lane_.inflight));
+  }
+  drain_cv_.NotifyAll();
 }
 
 void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {

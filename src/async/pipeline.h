@@ -2,11 +2,15 @@
 // (DESIGN.md §9).
 //
 // KVell-style shared-nothing queues layered between the public API and the
-// wire: the application (or DbShard's synchronous paths, reimplemented as
-// submit+wait) enqueues operations per destination rank; a pipeline worker
-// drains the queues, coalescing consecutive same-kind operations for one
-// destination into a single `put_batch` / `get_multi` frame, so N remote
-// operations share one wire round trip instead of N.  Replication-stream
+// wire: the application (or DbShard's synchronous puts, submit+wait)
+// enqueues operations per destination rank; a pipeline worker drains the
+// queues, coalescing consecutive same-kind operations for one destination
+// into a single `put_batch` / `get_multi` frame, so N remote operations
+// share one wire round trip instead of N.  A synchronous get skips the
+// worker when the ops lane is idle (GetSync below): the caller sends its own
+// one-op `get_multi` frame, the paper's single request/response.  Sync puts
+// always ride the lane, because put retries and quorum-deferred acks rely
+// on its per-destination chaining.  Replication-stream
 // appends run on their own lane (second worker thread) — see the Lane
 // comment below for why sharing the ops lane would deadlock under the
 // quorum commit rule.
@@ -116,6 +120,18 @@ class AsyncPipeline {
   OpHandle SubmitGet(int dst, uint32_t dbid, const Slice& key,
                      bool full_search);
 
+  // Synchronous remote get (papyruskv_get's network leg and the §2.7
+  // full-search fallback).  With the ops lane idle — nothing queued,
+  // nothing in flight — the calling thread sends a one-op get_multi frame
+  // itself through KvRuntime::RequestReply (fresh tag, bounded retry,
+  // suspect marking, PAPYRUSKV_ERR_TIMEOUT), holding one of the lane's
+  // in-flight slots so Drain() still waits for it.  A busy lane may carry
+  // an earlier put to `dst`, so the get then queues behind it (SubmitGet +
+  // Wait) and SDCB keeps read-your-writes.  Either way the owner's reply
+  // lands in *resp when the op succeeds.
+  Status GetSync(int dst, uint32_t dbid, const Slice& key, bool full_search,
+                 core::GetResp* resp);
+
   // Enqueue one replication-stream append for follower `dst` (DESIGN.md
   // §12).  Fire-and-forget at the submission layer — there is no OpHandle;
   // the frame's ack (or give-up) is delivered to the shard's Replicator as
@@ -178,6 +194,11 @@ class AsyncPipeline {
   };
 
   void Loop(Lane* lane);
+  // In-flight slot accounting shared by Loop (one cycle's ops) and GetSync
+  // (one inline get): Claim counts `n` dispatched ops against `lane`;
+  // Retire un-counts them and wakes Drain().
+  void ClaimInflight(Lane* lane, size_t n) REQUIRES(mu_);
+  void RetireInflight(Lane* lane, size_t n);
   // Builds, sends, and collects acks for one swap of a lane's queues.
   void ProcessCycle(std::map<int, std::deque<Submission>> work);
   void Enqueue(int dst, Submission s);  // routes on s.kind
@@ -206,9 +227,10 @@ class AsyncPipeline {
   obs::Histogram* h_repl_batch_;   // async.repl_batch_size
   obs::Counter* c_op_errors_;      // async.op_errors
   obs::Counter* c_frames_;         // async.frames
+  obs::Counter* c_inline_gets_;    // async.inline_gets (GetSync, idle lane)
   // True per-op latency, submit → completion (the batched ack landing).
-  // The kv.put_us/get_us histograms cover the synchronous submit+wait
-  // path; the async entry points record only kv.*_submit_us at enqueue.
+  // The kv.put_us/get_us histograms cover the synchronous paths; the async
+  // entry points record only kv.*_submit_us at enqueue.
   obs::Histogram* h_put_op_us_;    // async.put_op_us
   obs::Histogram* h_get_op_us_;    // async.get_op_us
 };

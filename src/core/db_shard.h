@@ -225,7 +225,7 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   bool SearchRemoteMemory(const Slice& key, std::string* value,
                           bool* tombstone);
   // Post-RPC half of a remote get: consumes the owner's GetResp (cache
-  // fills, §2.7 shared read + fallback re-query through the pipeline).
+  // fills, §2.7 shared read + fallback re-query via AsyncPipeline::GetSync).
   Status FinishRemoteGet(const Slice& key, GetResp resp, std::string* value);
 
   void WaitFlushesDrained();

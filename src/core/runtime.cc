@@ -791,15 +791,6 @@ void KvRuntime::SendResponse(int dst, int tag, const Slice& payload) {
   resp_comm_.Send(dst, tag, payload);  // lint:allow-direct-send
 }
 
-net::Message KvRuntime::RecvResponse(int src, int tag) {
-  // Fixed-tag reply paths (restart redistribution) run single-file with no
-  // retry, so a lost reply here would wedge — which is why every path that
-  // can see message loss uses RequestReply instead.
-  // analyze:allow-proto-deadlock: only the single-file restart task calls
-  // this, after fault injection is disabled — its reply cannot be lost
-  return resp_comm_.Recv(src, tag);
-}
-
 Status KvRuntime::RequestReply(int dst, int op, const Slice& payload,
                                int resp_tag, net::Message* reply) {
   flight_.Record(obs::FlightKind::kOpBegin, OpName(op), dst,

@@ -179,7 +179,6 @@ class KvRuntime {
   // ---- Transport helpers ----
   void SendRequest(int dst, int op, const Slice& payload);
   void SendResponse(int dst, int tag, const Slice& payload);
-  net::Message RecvResponse(int src, int tag);
   // Deadline receive on the response communicator (the pipeline's ack
   // collection); false on timeout.
   bool RecvResponseFor(int src, int tag, uint64_t timeout_us,

@@ -272,6 +272,63 @@ TEST_F(AsyncApiTest, SameDestinationSubmissionsCoalesceIntoOneFrame) {
   unsetenv("PAPYRUSKV_BATCH_WINDOW_US");
 }
 
+TEST_F(AsyncApiTest, SyncGetGoesInlineOnlyWhenTheOpsLaneIsIdle) {
+  // A sync get sends its own get_multi frame only when the ops lane is
+  // idle.  Behind an unwaited put_async to the same owner it must queue on
+  // the lane instead, so the chained frames keep read-your-writes.  Both
+  // paths feed the same async.* ledger.  The batching window holds the
+  // put in the queue, so the get surely finds the lane busy.
+  setenv("PAPYRUSKV_BATCH_WINDOW_US", "50000", 1);
+  RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_SEQUENTIAL;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("inlinedb", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    auto shard = papyrus::core::DbHandle(db);
+    ctx.comm.Barrier();
+
+    if (ctx.rank == 0) {
+      auto& reg = papyrus::core::KvRuntime::Current()->metrics();
+      obs::Counter& frames = reg.GetCounter("async.frames");
+      obs::Counter& inline_gets = reg.GetCounter("async.inline_gets");
+      obs::Histogram& get_op = reg.GetHistogram("async.get_op_us");
+      obs::Histogram& get_batch = reg.GetHistogram("async.get_batch_size");
+      const std::string k = KeysOwnedBy(shard, 1, 1)[0];
+
+      ASSERT_EQ(PutStr(db, k, "v0"), PAPYRUSKV_SUCCESS);
+      ASSERT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);  // lane now idle
+      uint64_t frames0 = frames.Value();
+      uint64_t inline0 = inline_gets.Value();
+      uint64_t op0 = get_op.Snapshot().count;
+      const uint64_t batch0 = get_batch.Snapshot().count;
+      std::string out;
+      ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS);
+      EXPECT_EQ(out, "v0");
+      EXPECT_EQ(inline_gets.Value(), inline0 + 1);
+      EXPECT_EQ(frames.Value(), frames0 + 1);
+      EXPECT_EQ(get_op.Snapshot().count, op0 + 1);
+      EXPECT_EQ(get_batch.Snapshot().count, batch0 + 1);
+
+      frames0 = frames.Value();
+      inline0 = inline_gets.Value();
+      op0 = get_op.Snapshot().count;
+      ASSERT_EQ(papyruskv_put_async(db, k.data(), k.size(), "v1", 2, nullptr),
+                PAPYRUSKV_SUCCESS);
+      ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS);
+      EXPECT_EQ(out, "v1");
+      EXPECT_EQ(inline_gets.Value(), inline0);  // queued behind the put
+      EXPECT_EQ(frames.Value(), frames0 + 2);   // put frame, then get frame
+      EXPECT_EQ(get_op.Snapshot().count, op0 + 1);
+      ASSERT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);
+    }
+    ctx.comm.Barrier();
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
+  unsetenv("PAPYRUSKV_BATCH_WINDOW_US");
+}
+
 TEST_F(AsyncApiTest, PartialBatchFailureSurfacesPerOpStatuses) {
   RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
     papyruskv_option_t opt;

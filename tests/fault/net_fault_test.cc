@@ -113,7 +113,9 @@ TEST_F(NetFaultTest, DroppedMessagesAreRetriedToSuccess) {
 TEST_F(NetFaultTest, PersistentDropSurfacesTimeoutAndMarksSuspect) {
   // Rank 0 drops every runtime message it sends: its remote operations
   // must fail with PAPYRUSKV_ERR_TIMEOUT after bounded retries — not hang
-  // — and the unreachable peer must be marked suspect.
+  // — and the unreachable peer must be marked suspect.  Covers both the
+  // pipeline's frame ladder (sync put) and the caller-side one (sync get
+  // on an idle ops lane).
   setenv("PAPYRUSKV_TIMEOUT_MS", "50", 1);
   setenv("PAPYRUSKV_RETRY_MAX", "2", 1);
   RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
@@ -133,7 +135,23 @@ TEST_F(NetFaultTest, PersistentDropSurfacesTimeoutAndMarksSuspect) {
       EXPECT_EQ(PutStr(db, keys[0], "lost"), PAPYRUSKV_ERR_TIMEOUT);
       // Bounded: 2 attempts x 50ms plus backoff, nowhere near a hang.
       EXPECT_LT(NowMicros() - t0, 10'000'000u);
-      EXPECT_TRUE(papyrus::core::KvRuntime::Current()->IsSuspect(1));
+      auto* rt = papyrus::core::KvRuntime::Current();
+      EXPECT_TRUE(rt->IsSuspect(1));
+
+      // Idle the ops lane and forget the suspect, so the get below runs
+      // the caller thread's own RequestReply ladder and must re-mark it.
+      rt->pipeline().Drain();
+      rt->ClearFaultState();
+      auto& reg = rt->metrics();
+      const uint64_t timeouts0 = reg.GetCounter("net.req.timeouts").Value();
+      const uint64_t inline0 = reg.GetCounter("async.inline_gets").Value();
+      std::string out;
+      const uint64_t t1 = NowMicros();
+      EXPECT_EQ(GetStr(db, keys[0], &out), PAPYRUSKV_ERR_TIMEOUT);
+      EXPECT_LT(NowMicros() - t1, 10'000'000u);
+      EXPECT_TRUE(rt->IsSuspect(1));
+      EXPECT_EQ(reg.GetCounter("net.req.timeouts").Value(), timeouts0 + 1);
+      EXPECT_EQ(reg.GetCounter("async.inline_gets").Value(), inline0 + 1);
       fault::Registry::Instance().DisableAll();
     }
     ctx.comm.Barrier();
