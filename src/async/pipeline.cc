@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/runtime.h"
-#include "obs/flight.h"
 #include "obs/trace.h"
 #include "repl/replicator.h"
 
@@ -94,12 +93,14 @@ AsyncPipeline::AsyncPipeline(core::KvRuntime& rt) : rt_(rt) {
   c_op_errors_ = &reg.GetCounter("async.op_errors");
   c_frames_ = &reg.GetCounter("async.frames");
   c_inline_gets_ = &reg.GetCounter("async.inline_gets");
+  g_migrations_ = &reg.GetGauge("net.migration_queue_depth");
+  h_migration_us_ = &reg.GetHistogram("store.migration_us");
   h_put_op_us_ = &reg.GetHistogram("async.put_op_us");
   h_get_op_us_ = &reg.GetHistogram("async.get_op_us");
 }
 
 void AsyncPipeline::RecordOpLatency(const Submission& s) {
-  if (s.kind == Submission::Kind::kRepl) return;  // no per-op waiter
+  if (!s.handle) return;  // kRepl/kMigrate: no per-op waiter
   obs::Histogram* h =
       s.kind == Submission::Kind::kPut ? h_put_op_us_ : h_get_op_us_;
   h->Record(NowMicros() - s.submitted_at_us);
@@ -140,11 +141,15 @@ void AsyncPipeline::Enqueue(int dst, Submission s) {
       s.kind == Submission::Kind::kRepl ? repl_lane_ : ops_lane_;
   {
     MutexLock lock(&mu_);
-    lane.queues[dst].push_back(std::move(s));
-    ++lane.queued;
-    g_depth_->Set(static_cast<int64_t>(ops_lane_.queued + repl_lane_.queued));
+    PushLocked(&lane, dst, std::move(s));
   }
   lane.cv.NotifyOne();
+}
+
+void AsyncPipeline::PushLocked(Lane* lane, int dst, Submission s) {
+  lane->queues[dst].push_back(std::move(s));
+  ++lane->queued;
+  g_depth_->Set(static_cast<int64_t>(ops_lane_.queued + repl_lane_.queued));
 }
 
 OpHandle AsyncPipeline::SubmitPut(int dst, uint32_t dbid, const Slice& key,
@@ -253,6 +258,36 @@ void AsyncPipeline::SubmitReplAppend(int dst, uint32_t dbid, uint32_t primary,
   Enqueue(dst, std::move(s));
 }
 
+void AsyncPipeline::SubmitMigration(std::shared_ptr<core::DbShard> db,
+                                    std::shared_ptr<store::MemTable> sealed) {
+  Submission s;
+  s.kind = Submission::Kind::kMigrate;
+  s.dbid = db->id();
+  s.submitted_at_us = NowMicros();
+  s.migration = std::make_shared<Migration>();
+  s.migration->db = std::move(db);
+  s.migration->mem = std::move(sealed);
+  {
+    MutexLock lock(&mu_);
+    while (migrations_ >= core::kDefaultQueueDepth) drain_cv_.Wait(&mu_);
+    g_migrations_->Set(static_cast<int64_t>(++migrations_));
+    PushLocked(&ops_lane_, kUnsorted, std::move(s));
+  }
+  ops_lane_.cv.NotifyOne();
+}
+
+void AsyncPipeline::FinishMigration(const Submission& s) {
+  // The sealed table leaves imm_remote_ only now: until every owner acked
+  // (or was given up on), gets still find the staged pairs there.
+  s.migration->db->MigrationFinished(s.migration->mem);
+  h_migration_us_->Record(NowMicros() - s.submitted_at_us);
+  {
+    MutexLock lock(&mu_);
+    g_migrations_->Set(static_cast<int64_t>(--migrations_));
+  }
+  drain_cv_.NotifyAll();  // wakes a submitter blocked on the bound
+}
+
 void AsyncPipeline::Drain() {
   MutexLock lock(&mu_);
   while (ops_lane_.queued + ops_lane_.inflight + repl_lane_.queued +
@@ -288,8 +323,24 @@ void AsyncPipeline::Loop(Lane* lane) {
           static_cast<int64_t>(ops_lane_.queued + repl_lane_.queued));
       ClaimInflight(lane, count);
     }
-    ProcessCycle(std::move(work));
-    RetireInflight(lane, count);
+    // Each migration is a cycle of its own: its frames go out as soon as it
+    // is sorted, not after every other sealed table swapped in with it has
+    // been sorted and encoded too.  Running
+    // them ahead of the ordinary frames swapped in with them reorders
+    // nothing that needs order: one db's migrations and sequential puts
+    // never share a swap (a mode change fences), and a relaxed get of a key
+    // this rank staged is answered from the staged table, not the owner.
+    if (auto it = work.find(kUnsorted); it != work.end()) {
+      std::deque<Submission> migrations = std::move(it->second);
+      work.erase(it);
+      count -= migrations.size();
+      for (Submission& m : migrations) {
+        std::map<int, std::deque<Submission>> one;
+        one[kUnsorted].push_back(std::move(m));
+        ProcessCycle(std::move(one), lane, 1);
+      }
+    }
+    ProcessCycle(std::move(work), lane, count);
   }
 }
 
@@ -309,53 +360,108 @@ void AsyncPipeline::RetireInflight(Lane* lane, size_t n) {
   drain_cv_.NotifyAll();
 }
 
-void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
+void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work,
+                                 Lane* lane, size_t count) {
   if (rt_.crashed()) {
     // A crashed rank emits no traffic (§4.2 failure model); every queued op
     // still completes so no waiter can hang.
     for (auto& [dst, q] : work) {
       for (Submission& s : q) {
+        if (s.migration) {
+          FinishMigration(s);  // the payload dies with the rank
+          continue;
+        }
         c_op_errors_->Inc();
         if (!s.handle) continue;  // repl appends: no waiter, the stream dies
         RecordOpLatency(s);
         s.handle->Complete(Status(PAPYRUSKV_ERR, "rank crashed (simulated)"));
       }
     }
+    RetireInflight(lane, count);
     return;
   }
 
-  const fault::RetryPolicy& retry = rt_.retry();
   const uint32_t my_group =
       static_cast<uint32_t>(rt_.layout().GroupOf(rt_.rank()));
 
   // One encoded wire frame: consecutive same-kind, same-db submissions for
-  // one destination, capped at batch_max_.
+  // one destination, capped at batch_max_ — or one owner's whole chunk of a
+  // migration, however large (§2.4: one chunk per owner).
   using Kind = Submission::Kind;
   struct Frame {
     int dst = 0;
+    int op = 0;  // wire opcode
     Kind kind = Kind::kPut;
     uint32_t dbid = 0;
     int tag = 0;
+    size_t records = 0;  // put/migration frames: ops the ack must cover
+    std::vector<KvRecord> chunk;  // a migration frame's records
     std::string payload;
-    std::vector<Submission> ops;
+    std::vector<Submission> ops;  // a migration frame: its one kMigrate
     std::unique_ptr<obs::OpSpan> rpc;  // open until the frame is acked
   };
-  auto op_name = [](Kind k) {
-    return k == Kind::kPut    ? "put_batch"
-           : k == Kind::kGet  ? "get_multi"
-                              : "repl_append";
+  // The RPC leg of a whole frame: each op serviced by the remote handler
+  // becomes a flow-linked child of this span, so the merged timeline shows
+  // N coalesced ops sharing one wire round trip.
+  auto new_frame = [&](int dst, Kind kind, uint32_t dbid) {
+    Frame f;
+    f.dst = dst;
+    f.kind = kind;
+    f.dbid = dbid;
+    f.tag = rt_.AllocRespTag();
+    f.rpc = std::make_unique<obs::OpSpan>(
+        "net",
+        kind == Kind::kPut       ? "put_batch.rpc"
+        : kind == Kind::kGet     ? "get_multi.rpc"
+        : kind == Kind::kMigrate ? "migration.rpc"
+                                 : "repl_append.rpc",
+        obs::OpSpan::kDetached);
+    f.rpc->MarkFlowOut();
+    return f;
+  };
+  auto to_records = [](const std::vector<Submission>& ops) {
+    std::vector<KvRecord> records;
+    records.reserve(ops.size());
+    for (const Submission& s : ops) {
+      KvRecord r;
+      r.key = s.key;
+      r.value = s.value;
+      r.tombstone = s.tombstone;
+      records.push_back(std::move(r));
+    }
+    return records;
   };
   // Frames to one destination form an ordered chain, processed below under
   // the SDCB rule: frame N+1 is not put on the wire until frame N is acked.
   std::map<int, std::vector<Frame>> chains;
+  if (auto it = work.find(kUnsorted); it != work.end()) {
+    // §2.4: "sorts the key-value pairs in the MemTable by the owner rank
+    // number ... accumulates the key-value pairs per rank" — here, on the
+    // lane thread, so the sealing thread pays only the enqueue.
+    for (const Submission& s : it->second) {
+      auto chunks = s.migration->db->CollectOwnerChunks(*s.migration->mem);
+      assert(!chunks.empty() && "a sealed remote MemTable is never empty");
+      s.migration->frames_left = chunks.size();
+      for (auto& [owner, records] : chunks) {
+        assert(owner != rt_.rank() &&
+               "remote MemTable must not hold self-owned pairs");
+        Frame f = new_frame(owner, Kind::kMigrate, s.dbid);
+        f.op = core::kOpPutBatch;
+        f.records = records.size();
+        f.chunk = std::move(records);
+        f.payload = EncodePutBatch(f.dbid, static_cast<uint32_t>(f.tag),
+                                   f.chunk, f.rpc->context());
+        f.ops.push_back(s);
+        chains[owner].push_back(std::move(f));
+      }
+    }
+    work.erase(it);  // each frame holds its migration from here on
+  }
   for (auto& [dst, q] : work) {
     assert(dst != rt_.rank() && "pipeline never targets the local rank");
     size_t i = 0;
     while (i < q.size()) {
-      Frame f;
-      f.dst = dst;
-      f.kind = q[i].kind;
-      f.dbid = q[i].dbid;
+      Frame f = new_frame(dst, q[i].kind, q[i].dbid);
       const size_t begin = i;
       while (i < q.size() && (i - begin) < batch_max_ &&
              q[i].kind == f.kind && q[i].dbid == f.dbid) {
@@ -373,31 +479,15 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
         f.ops.push_back(std::move(q[i]));
         ++i;
       }
-      f.tag = rt_.AllocRespTag();
-      // The RPC leg of the whole frame: each op serviced by the remote
-      // handler becomes a flow-linked child of this span, so the merged
-      // timeline shows N coalesced ops sharing one wire round trip.
-      f.rpc = std::make_unique<obs::OpSpan>(
-          "net",
-          f.kind == Kind::kPut   ? "put_batch.rpc"
-          : f.kind == Kind::kGet ? "get_multi.rpc"
-                                 : "repl_append.rpc",
-          obs::OpSpan::kDetached);
-      f.rpc->MarkFlowOut();
+      const auto tag = static_cast<uint32_t>(f.tag);
       if (f.kind == Kind::kPut) {
-        std::vector<KvRecord> records;
-        records.reserve(f.ops.size());
-        for (const Submission& s : f.ops) {
-          KvRecord r;
-          r.key = s.key;
-          r.value = s.value;
-          r.tombstone = s.tombstone;
-          records.push_back(std::move(r));
-        }
+        f.op = core::kOpPutBatch;
+        const std::vector<KvRecord> records = to_records(f.ops);
         h_put_batch_->Record(static_cast<uint64_t>(records.size()));
-        f.payload = EncodePutBatch(f.dbid, static_cast<uint32_t>(f.tag),
-                                   records, f.rpc->context());
+        f.records = records.size();
+        f.payload = EncodePutBatch(f.dbid, tag, records, f.rpc->context());
       } else if (f.kind == Kind::kGet) {
+        f.op = core::kOpGetMulti;
         std::vector<GetMultiOp> ops;
         ops.reserve(f.ops.size());
         for (const Submission& s : f.ops) {
@@ -407,48 +497,43 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
           ops.push_back(std::move(op));
         }
         h_get_batch_->Record(static_cast<uint64_t>(ops.size()));
-        f.payload = EncodeGetMulti(f.dbid, static_cast<uint32_t>(f.tag),
-                                   my_group, ops, f.rpc->context());
+        f.payload =
+            EncodeGetMulti(f.dbid, tag, my_group, ops, f.rpc->context());
       } else {
-        std::vector<KvRecord> records;
-        records.reserve(f.ops.size());
-        for (const Submission& s : f.ops) {
-          KvRecord r;
-          r.key = s.key;
-          r.value = s.value;
-          r.tombstone = s.tombstone;
-          records.push_back(std::move(r));
-        }
+        f.op = core::kOpReplAppend;
         core::ReplAppendMeta meta;
         meta.primary = f.ops.front().repl_primary;
         meta.epoch = f.ops.front().repl_epoch;
         meta.first_seq = f.ops.front().repl_seq;
         meta.flushed_through = f.ops.back().repl_flushed;
         meta.reset = f.ops.front().repl_reset;
+        const std::vector<KvRecord> records = to_records(f.ops);
         h_repl_batch_->Record(static_cast<uint64_t>(records.size()));
-        f.payload = core::EncodeReplAppend(f.dbid,
-                                           static_cast<uint32_t>(f.tag), meta,
-                                           records, f.rpc->context());
+        f.payload = core::EncodeReplAppend(f.dbid, tag, meta, records,
+                                           f.rpc->context());
       }
       chains[dst].push_back(std::move(f));
     }
   }
 
-  obs::FlightRecorder& flight = rt_.flight();
+  // The last resolved frame of a migration finishes it.
+  auto migration_frame_done = [&](const Frame& f) {
+    const Submission& s = f.ops.front();
+    if (--s.migration->frames_left == 0) FinishMigration(s);
+  };
   auto send_frame = [&](const Frame& f) {
     c_frames_->Inc();
-    flight.Record(obs::FlightKind::kOpBegin, op_name(f.kind), f.dst,
-                  retry.max_attempts);
-    rt_.SendRequest(f.dst,
-                    f.kind == Kind::kPut   ? core::kOpPutBatch
-                    : f.kind == Kind::kGet ? core::kOpGetMulti
-                                           : core::kOpReplAppend,
-                    f.payload);
+    rt_.BeginRequest(f.dst, f.op, f.payload);
   };
   // Completes every op of a failed frame with one shared status; a failed
   // replication frame instead fails the follower out of the shard's quorum
-  // accounting (no per-op waiters to complete).
+  // accounting, and a failed migration chunk just resolves its frame (no
+  // per-op waiters to complete in either case).
   auto fail_frame = [&](Frame& f, const Status& s) {
+    if (f.kind == Kind::kMigrate) {
+      migration_frame_done(f);
+      return;
+    }
     if (f.kind == Kind::kRepl) {
       c_op_errors_->Inc();
       if (core::DbShardPtr db = rt_.Find(static_cast<int>(f.dbid))) {
@@ -465,69 +550,38 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
 
   // Only each chain's *head* frame goes on the wire up front: frames to
   // distinct destinations overlap, amortizing the round trip across the
-  // cycle (same idiom as the migration dispatcher), but frame N+1 of a
-  // chain is released only by frame N's ack below.  This is what makes the
-  // bounded re-send safe (DESIGN.md §8): the one frame per destination
-  // that can be retried is always the newest one sent there, so a retry
-  // re-applies at worst its own data — never data an earlier frame
-  // committed after it (SDCB survives retries).
+  // cycle, but frame N+1 of a chain is released only by frame N's ack
+  // below.  This is what makes the bounded re-send safe (DESIGN.md §8): the
+  // one frame per destination that can be retried is always the newest one
+  // sent there, so a retry re-applies at worst its own data — never data
+  // an earlier frame committed after it (SDCB survives retries).
   for (auto& [dst, chain] : chains) send_frame(chain.front());
 
   for (auto& [dst, chain] : chains) {
     bool dst_down = false;  // an earlier frame to dst exhausted its retries
     for (size_t fi = 0; fi < chain.size(); ++fi) {
       Frame& f = chain[fi];
-      const char* opname = op_name(f.kind);
       if (dst_down) {
         // Never sent: the timed-out frame ahead of this one may still be
         // sitting unapplied in the peer's mailbox, and sending past it
         // could commit data out of submission order.
         f.rpc.reset();
-        fail_frame(f, Status::Timeout(
-                          "rank " + std::to_string(dst) + " unresponsive; " +
-                          opname + " not sent (earlier frame unacked)"));
+        fail_frame(f, Status::Timeout("rank " + std::to_string(dst) +
+                                      " unresponsive; frame not sent "
+                                      "(earlier frame unacked)"));
         continue;
       }
       net::Message ack;
-      bool acked =
-          rt_.RecvResponseFor(f.dst, f.tag, retry.reply_timeout_us, &ack);
-      for (int attempt = 1; attempt < retry.max_attempts && !acked;
-           ++attempt) {
-        rt_.metrics().GetCounter("net.req.retries").Inc();
-        flight.Record(obs::FlightKind::kRetry, opname, f.dst, attempt);
-        PreciseSleepMicros(retry.BackoffUs(attempt));
-        rt_.SendRequest(f.dst,
-                        f.kind == Kind::kPut   ? core::kOpPutBatch
-                        : f.kind == Kind::kGet ? core::kOpGetMulti
-                                               : core::kOpReplAppend,
-                        f.payload);
-        acked =
-            rt_.RecvResponseFor(f.dst, f.tag, retry.reply_timeout_us, &ack);
-      }
+      Status sent = rt_.AwaitReply(f.dst, f.op, f.payload, f.tag, &ack);
       f.rpc.reset();  // close the frame's RPC span at ack (or give-up) time
-      if (!acked) {
-        rt_.metrics().GetCounter("net.req.timeouts").Inc();
-        flight.Record(obs::FlightKind::kTimeout, opname, f.dst,
-                      retry.max_attempts);
-        rt_.MarkSuspect(f.dst);
-        PLOG_ERROR << opname << " to rank " << f.dst
-                   << " unacknowledged after " << retry.max_attempts
-                   << " attempts";
-        Status ds = flight.TriggerDump("request timeout");
-        if (!ds.ok()) {
-          PLOG_WARN << "flight dump failed: " << ds.ToString();
-        }
-        fail_frame(f, Status::Timeout(
-                          "no reply from rank " + std::to_string(f.dst) +
-                          " for " + opname + " after " +
-                          std::to_string(retry.max_attempts) + " attempts"));
+      if (!sent.ok()) {
+        fail_frame(f, sent);
         dst_down = true;  // the unsent rest of this chain fails above
         continue;
       }
       // The ack proves the handler applied this frame; the next frame in
       // this destination's chain may now go on the wire.
       if (fi + 1 < chain.size()) send_frame(chain[fi + 1]);
-      flight.Record(obs::FlightKind::kOpEnd, opname, f.dst);
       if (f.kind == Kind::kRepl) {
         uint64_t epoch = 0;
         uint64_t acked_seq = 0;
@@ -547,19 +601,7 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
         }
         continue;
       }
-      if (f.kind == Kind::kPut) {
-        std::vector<int32_t> statuses;
-        if (!core::DecodePutBatchAck(ack.payload, &statuses) ||
-            statuses.size() != f.ops.size()) {
-          fail_frame(f, Status::Corrupted("bad put batch ack"));
-          continue;
-        }
-        for (size_t i = 0; i < f.ops.size(); ++i) {
-          if (statuses[i] != PAPYRUSKV_SUCCESS) c_op_errors_->Inc();
-          RecordOpLatency(f.ops[i]);
-          f.ops[i].handle->Complete(Status(statuses[i]));
-        }
-      } else {
+      if (f.kind == Kind::kGet) {
         std::vector<GetMultiResult> results;
         if (!core::DecodeGetMultiResp(ack.payload, &results) ||
             results.size() != f.ops.size()) {
@@ -572,9 +614,35 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
           f.ops[i].handle->CompleteResp(Status(results[i].status),
                                         std::move(results[i].resp));
         }
+        continue;
+      }
+      std::vector<int32_t> statuses;
+      if (!core::DecodePutBatchAck(ack.payload, &statuses) ||
+          statuses.size() != f.records) {
+        fail_frame(f, Status::Corrupted("bad put batch ack"));
+        continue;
+      }
+      if (f.kind == Kind::kMigrate) {
+        size_t failed = 0;
+        for (int32_t st : statuses) failed += st != PAPYRUSKV_SUCCESS;
+        if (failed > 0) {
+          c_op_errors_->Inc(failed);
+          PLOG_ERROR << "migration to rank " << f.dst << ": " << failed
+                     << " of " << statuses.size() << " records not applied";
+        }
+        migration_frame_done(f);
+        continue;
+      }
+      for (size_t i = 0; i < f.ops.size(); ++i) {
+        if (statuses[i] != PAPYRUSKV_SUCCESS) c_op_errors_->Inc();
+        RecordOpLatency(f.ops[i]);
+        f.ops[i].handle->Complete(Status(statuses[i]));
       }
     }
   }
+  // Retired before this cycle's frames, chunks and sealed tables are
+  // freed: a fence waits for the acks, not for the lane's cleanup.
+  RetireInflight(lane, count);
 }
 
 }  // namespace papyrus::async

@@ -10,7 +10,9 @@
 // worker when the ops lane is idle (GetSync below): the caller sends its own
 // one-op `get_multi` frame, the paper's single request/response.  Sync puts
 // always ride the lane, because put retries and quorum-deferred acks rely
-// on its per-destination chaining.  Replication-stream
+// on its per-destination chaining.  Relaxed-mode migration (§2.4) rides the
+// same lane (SubmitMigration): each owner's chunk of a sealed remote
+// MemTable is one `put_batch` frame, never cut or merged.  Replication-stream
 // appends run on their own lane (second worker thread) — see the Lane
 // comment below for why sharing the ops lane would deadlock under the
 // quorum commit rule.
@@ -30,9 +32,10 @@
 // frame.
 //
 // Failure semantics: retry/timeout is per *frame* (re-sending the chain's
-// in-flight frame is idempotent, like migration chunks); per-op errors
-// travel back in the batched ack, so a partially failed batch surfaces
-// exactly which ops failed.  A frame unacknowledged after
+// in-flight frame is idempotent: the owner re-applies the same records in
+// order), through KvRuntime::AwaitReply, the runtime's one retry ladder.
+// Per-op errors travel back in the batched ack, so a partially failed
+// batch surfaces exactly which ops failed.  A frame unacknowledged after
 // retry().max_attempts completes all of its ops with
 // PAPYRUSKV_ERR_TIMEOUT and marks the peer suspect; the unsent frames
 // behind it in the same chain fail the same way *without* being sent —
@@ -55,8 +58,13 @@
 #include "obs/metrics.h"
 
 namespace papyrus::core {
+class DbShard;
 class KvRuntime;
 }  // namespace papyrus::core
+
+namespace papyrus::store {
+class MemTable;
+}  // namespace papyrus::store
 
 namespace papyrus::async {
 
@@ -126,9 +134,9 @@ class AsyncPipeline {
   // itself through KvRuntime::RequestReply (fresh tag, bounded retry,
   // suspect marking, PAPYRUSKV_ERR_TIMEOUT), holding one of the lane's
   // in-flight slots so Drain() still waits for it.  A busy lane may carry
-  // an earlier put to `dst`, so the get then queues behind it (SubmitGet +
-  // Wait) and SDCB keeps read-your-writes.  Either way the owner's reply
-  // lands in *resp when the op succeeds.
+  // an earlier put or migration to `dst`, so the get then queues behind it
+  // (SubmitGet + Wait) and SDCB keeps read-your-writes.  Either way the
+  // owner's reply lands in *resp when the op succeeds.
   Status GetSync(int dst, uint32_t dbid, const Slice& key, bool full_search,
                  core::GetResp* resp);
 
@@ -143,13 +151,34 @@ class AsyncPipeline {
                         uint64_t flushed_through, const Slice& key,
                         const Slice& value, bool tombstone);
 
+  // Relaxed-mode migration of one sealed remote MemTable (§2.4): the ops
+  // lane thread sorts its records by owner and sends one put_batch frame
+  // per owner.  Once every frame is acked or given up (or at once on a
+  // crashed rank, which sends nothing), the lane thread calls
+  // db->MigrationFinished(sealed).  Back-pressure: with kDefaultQueueDepth
+  // sealed tables already awaiting acks, the caller blocks until one
+  // finishes.  Migrations count in the ops lane's totals, so Drain() waits
+  // for them.
+  void SubmitMigration(std::shared_ptr<core::DbShard> db,
+                       std::shared_ptr<store::MemTable> sealed);
+
   // Blocks until every submitted op has completed (fence semantics for
-  // async operations; see DbShard::Fence).
+  // async operations and migrations; see DbShard::Fence).
   void Drain();
 
  private:
+  // One sealed remote MemTable in flight: finished when its last frame
+  // resolves.  frames_left is touched only by the ops lane thread.
+  struct Migration {
+    std::shared_ptr<core::DbShard> db;
+    std::shared_ptr<store::MemTable> mem;
+    size_t frames_left = 0;
+  };
+  // Queue key of migrations not yet sorted by owner (no rank is negative).
+  static constexpr int kUnsorted = -1;
+
   struct Submission {
-    enum class Kind { kPut, kGet, kRepl };
+    enum class Kind { kPut, kGet, kRepl, kMigrate };
     Kind kind;
     uint32_t dbid = 0;
     std::string key;
@@ -163,17 +192,18 @@ class AsyncPipeline {
     uint64_t repl_flushed = 0;
     bool repl_reset = false;
     uint64_t submitted_at_us = 0;  // stamped at Submit* for op latency
-    OpHandle handle;               // null for kRepl (no per-op waiter)
+    OpHandle handle;  // null for kRepl/kMigrate (no per-op waiter)
+    std::shared_ptr<Migration> migration;  // kMigrate only
   };
 
   // One worker lane: its own thread, per-destination queues and in-flight
   // accounting (all guarded by mu_; a nested struct cannot name the outer
   // mutex in an annotation).  The pipeline runs TWO lanes:
   //
-  //   ops   put/get frames.  Their acks may be *deferred* by the remote
-  //         handler until the applied data reaches replication quorum
-  //         (DESIGN.md §12), i.e. until the remote's own repl_append frames
-  //         are acked.
+  //   ops   put/get/migration frames.  Their acks may be *deferred* by the
+  //         remote handler until the applied data reaches replication
+  //         quorum (DESIGN.md §12), i.e. until the remote's own repl_append
+  //         frames are acked.
   //   repl  replication-stream frames.  Followers ack immediately after the
   //         shadow apply — never deferred.
   //
@@ -199,9 +229,15 @@ class AsyncPipeline {
   // Retire un-counts them and wakes Drain().
   void ClaimInflight(Lane* lane, size_t n) REQUIRES(mu_);
   void RetireInflight(Lane* lane, size_t n);
-  // Builds, sends, and collects acks for one swap of a lane's queues.
-  void ProcessCycle(std::map<int, std::deque<Submission>> work);
+  // Builds, sends, and collects acks for one swap of a lane's queues, then
+  // retires the cycle's `count` in-flight slots on `lane`.
+  void ProcessCycle(std::map<int, std::deque<Submission>> work, Lane* lane,
+                    size_t count);
   void Enqueue(int dst, Submission s);  // routes on s.kind
+  void PushLocked(Lane* lane, int dst, Submission s) REQUIRES(mu_);
+  // Every frame of migration `s` resolved: report it to its shard and free
+  // its slot under the kDefaultQueueDepth bound.
+  void FinishMigration(const Submission& s);
   // Records submit→completion latency (async.put_op_us / async.get_op_us);
   // call immediately before completing the handle.
   void RecordOpLatency(const Submission& s);
@@ -214,6 +250,7 @@ class AsyncPipeline {
   Mutex mu_{"async_pipe_mu"};
   CondVar drain_cv_;  // every lane's queued + inflight reached zero
   bool stop_ GUARDED_BY(mu_) = false;
+  size_t migrations_ GUARDED_BY(mu_) = 0;  // submitted, not yet finished
   // Queue/counter fields guarded by mu_; name/window/thread are set before
   // the worker starts and joined after it stops, so they need no lock.
   Lane ops_lane_;
@@ -228,6 +265,8 @@ class AsyncPipeline {
   obs::Counter* c_op_errors_;      // async.op_errors
   obs::Counter* c_frames_;         // async.frames
   obs::Counter* c_inline_gets_;    // async.inline_gets (GetSync, idle lane)
+  obs::Gauge* g_migrations_;       // net.migration_queue_depth
+  obs::Histogram* h_migration_us_;  // store.migration_us (submit → finish)
   // True per-op latency, submit → completion (the batched ack landing).
   // The kv.put_us/get_us histograms cover the synchronous paths; the async
   // entry points record only kv.*_submit_us at enqueue.

@@ -7,7 +7,7 @@
 //   * a producer rank blocks when the queue is full (the paper's
 //     back-pressure: "the MPI rank is blocked on the put operation until the
 //     queue is available"), and
-//   * the consumer (compaction thread / message dispatcher) sleeps while the
+//   * the consumer (the compaction thread) sleeps while the
 //     queue is empty instead of spinning.
 //
 // Snapshot() exposes the live contents for readers that must search the

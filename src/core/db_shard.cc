@@ -383,15 +383,8 @@ void DbShard::RotateRemoteLocked() {
                                               opt_.memtable_bytes);
   m_.memtable_remote_bytes->Set(0);
   remote_mu_.Unlock();
-
-  {
-    MutexLock d(&drain_mu_);
-    ++pending_migrations_;
-  }
-  MigrationJob job;
-  job.db = shared_from_this();
-  job.mem = sealed;
-  rt_.EnqueueMigration(std::move(job));
+  // Blocks while too many sealed tables await acks (§2.4 back-pressure).
+  rt_.pipeline().SubmitMigration(shared_from_this(), sealed);
 }
 
 Status DbShard::SyncRemotePut(const Slice& key, const Slice& value,
@@ -623,8 +616,7 @@ Status DbShard::FinishRemoteGet(const Slice& key, GetResp resp,
     }
     // The owner may have compacted the advertised tables away between its
     // response and our shared read; fall back to a full search at the
-    // owner to keep the result authoritative (the full_search flag replaces
-    // the legacy caller_group=0xffffffff convention per op).
+    // owner to keep the result authoritative.
     GetResp r2;
     Status rs = rt_.pipeline().GetSync(owner, id_, key, /*full_search=*/true,
                                        &r2);
@@ -885,21 +877,13 @@ bool DbShard::TryReplicaRead(const Slice& key, int owner, std::string* value,
 // Handler-side entry points
 // ---------------------------------------------------------------------------
 
-Status DbShard::ApplyRecords(const std::vector<KvRecord>& records) {
-  for (const KvRecord& r : records) {
-    Status s = LocalPut(r.key, r.value, r.tombstone);
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
 std::vector<int32_t> DbShard::ApplyBatch(const std::vector<KvRecord>& records) {
   std::vector<int32_t> statuses;
   statuses.reserve(records.size());
   for (const KvRecord& r : records) {
-    // Unlike ApplyRecords, a failed op does not abort the batch: every
-    // record gets its own status, so the submitter can surface exactly
-    // which ops of a partially failed batch went wrong.
+    // A failed op does not abort the batch: every record gets its own
+    // status, so the submitter can surface exactly which ops of a
+    // partially failed batch went wrong.
     if (fault::Enabled() && batch_fail_point_->Fire()) {
       statuses.push_back(PAPYRUSKV_ERR);
       continue;
@@ -1080,11 +1064,6 @@ void DbShard::MigrationFinished(const store::MemTablePtr& mem) {
     if (it != imm_remote_.end()) imm_remote_.erase(it);
   }
   m_.migrations->Inc();
-  {
-    MutexLock d(&drain_mu_);
-    --pending_migrations_;
-  }
-  drain_cv_.NotifyAll();
 }
 
 // ---------------------------------------------------------------------------
@@ -1107,16 +1086,7 @@ Status DbShard::Fence() {
     }
     return Status::OK();
   }
-  // Async completion fence: every papyruskv_*_async op submitted before
-  // this fence has been applied (and acked) at its owner once Drain
-  // returns — the batched acks are sent after application, exactly like
-  // migration-chunk acks.
-  rt_.pipeline().Drain();
-  // Retire evented put/delete submissions that were never waited
-  // individually (the quickstart's bulk-completion pattern) so async_ops_
-  // cannot grow without bound; the first failure among them becomes the
-  // fence's status, keeping those errors observable.
-  Status reap = rt_.ReapAsyncOps();
+  // Seal the staged remote MemTable into a migration (§3.1)...
   {
     MutexLock rotate(&remote_rotate_mu_);
     remote_mu_.Lock();
@@ -1126,10 +1096,19 @@ Status DbShard::Fence() {
       remote_mu_.Unlock();
     }
   }
-  WaitMigrationsDrained();
+  // ...then one drain covers it, every earlier migration, and every
+  // papyruskv_*_async op submitted before this fence: each has been applied
+  // (and acked) at its owner once Drain returns, since put_batch acks are
+  // sent after application.
+  rt_.pipeline().Drain();
+  // Retire evented put/delete submissions that were never waited
+  // individually (the quickstart's bulk-completion pattern) so async_ops_
+  // cannot grow without bound; the first failure among them becomes the
+  // fence's status, keeping those errors observable.
+  Status reap = rt_.ReapAsyncOps();
   // Replication commit rule (DESIGN.md §12): a fenced put is durable on
   // ⌊k/2⌋+1 replicas before the fence completes.  Remote puts already gated
-  // through the owners' deferred batch/migration acks; this waits out the
+  // through the owners' deferred put_batch acks; this waits out the
   // quorum for this rank's *own* local puts.
   if (repl_) repl_->WaitLocalDurable();
   return reap;
@@ -1161,7 +1140,7 @@ Status DbShard::Barrier(int level) {
   Status s = Fence();
   if (!s.ok()) return s;
   // After every rank's fence, all migrated records have been *applied* at
-  // their owners (migration chunks are acked after application), so this
+  // their owners (put_batch frames are acked after application), so this
   // collective point establishes the paper's guarantee: all ranks now see
   // the same latest data.
   s = rt_.CollectiveBarrier();
@@ -1216,11 +1195,6 @@ Status DbShard::FlushAll() { return Barrier(PAPYRUSKV_SSTABLE); }
 void DbShard::WaitFlushesDrained() {
   MutexLock lock(&drain_mu_);
   while (pending_flushes_ != 0) drain_cv_.Wait(&drain_mu_);
-}
-
-void DbShard::WaitMigrationsDrained() {
-  MutexLock lock(&drain_mu_);
-  while (pending_migrations_ != 0) drain_cv_.Wait(&drain_mu_);
 }
 
 DbStats DbShard::StatsSnapshot() const {

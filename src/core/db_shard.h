@@ -6,8 +6,8 @@
 //     the compaction thread;
 //   * a mutable *remote MemTable* — pairs owned by other ranks, staged in
 //     relaxed consistency mode, each entry tagged with its owner rank;
-//   * *immutable remote MemTables* — sealed tables queued for migration by
-//     the message dispatcher;
+//   * *immutable remote MemTables* — sealed tables migrating to their
+//     owners through the async pipeline's ops lane, until every owner acks;
 //   * a *local cache* — LRU over pairs fetched from this rank's SSTables;
 //   * a *remote cache* — LRU over pairs fetched from other ranks, active
 //     only while the database is read-only (§3.2);
@@ -18,8 +18,8 @@
 //
 // Threading contract: one application thread per rank drives Put/Get/
 // Delete/Fence/Barrier (MPI style).  The runtime's handler thread calls
-// ApplyRecords/HandleRemoteGet concurrently; the compaction thread calls
-// FlushImmutable; the dispatcher calls TakeOwnerChunks/MigrationFinished.
+// ApplyBatch/HandleRemoteGet concurrently; the compaction thread calls
+// FlushImmutable; the pipeline's ops lane thread calls MigrationFinished.
 // Internal state is guarded accordingly.
 #pragma once
 
@@ -127,14 +127,13 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   Status FlushAll();
 
   // ---- Handler-side entry points (runtime handler thread) ----
-  // Applies migrated records to the local MemTable (paper: the handler
-  // "extracts the keys and their values from the messages and inserts them
-  // into the local MemTable").
-  Status ApplyRecords(const std::vector<KvRecord>& records);
-  // Batched variant for kOpPutBatch: applies every record, continuing past
-  // failures, and returns one PAPYRUSKV_* code per record in order (the
-  // per-op statuses of the batched ack).  The batch.op.fail failpoint
-  // injects per-op failures here for partial-batch testing.
+  // Applies a kOpPutBatch frame — sequential-mode puts or a migration chunk
+  // — to the local MemTable (paper: the handler "extracts the keys and
+  // their values from the messages and inserts them into the local
+  // MemTable"), continuing past failures, and returns one PAPYRUSKV_* code
+  // per record in order (the per-op statuses of the batched ack).  The
+  // batch.op.fail failpoint injects per-op failures here for partial-batch
+  // testing.
   std::vector<int32_t> ApplyBatch(const std::vector<KvRecord>& records);
   // Serves a remote get request (§2.6–2.7).
   GetResp HandleRemoteGet(const Slice& key, uint32_t caller_group);
@@ -145,12 +144,13 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // and merges being serialized there.
   Status FlushImmutable(const store::MemTablePtr& mem);
 
-  // ---- Dispatcher entry points ----
+  // ---- Migration entry points (the async pipeline's ops lane) ----
   // Sorts a sealed remote MemTable's records per owner rank (§2.4: "it
   // sorts the key-value pairs in the MemTable by the owner rank number ...
   // accumulates the key-value pairs per rank").
   std::map<int, std::vector<KvRecord>> CollectOwnerChunks(
       const store::MemTable& mem) const;
+  // Every owner acked (or was given up on): drops `mem` from imm_remote_.
   void MigrationFinished(const store::MemTablePtr& mem);
 
   // Owner rank of a key: hash % nranks.
@@ -229,7 +229,6 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   Status FinishRemoteGet(const Slice& key, GetResp resp, std::string* value);
 
   void WaitFlushesDrained();
-  void WaitMigrationsDrained();
 
   // ---- Failover routing (DESIGN.md §12) ----
   // Resolves the rank that currently serves `owner`'s hash slot: `owner`
@@ -307,12 +306,12 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   std::atomic<bool> promoted_any_{false};
   std::atomic<uint64_t> replica_rr_{0};  // read-from-replica round robin
 
-  // Outstanding background work counters.  drain_mu_ is last in the
-  // canonical order: it is taken while no other shard lock is held.
+  // Outstanding flushes (migrations are counted by the pipeline).
+  // drain_mu_ is last in the canonical order: it is taken while no other
+  // shard lock is held.
   Mutex drain_mu_{"db_drain_mu"};
   CondVar drain_cv_;
   int pending_flushes_ GUARDED_BY(drain_mu_) = 0;
-  int pending_migrations_ GUARDED_BY(drain_mu_) = 0;
 
   // Cached registry metrics, resolved once in the constructor so hot-path
   // updates are lock-free relaxed atomics (obs/metrics.h).  The db-scoped

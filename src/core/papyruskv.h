@@ -45,8 +45,6 @@ typedef struct papyruskv_option_struct {
   int consistency;            // PAPYRUSKV_SEQUENTIAL / PAPYRUSKV_RELAXED
   int protection;             // PAPYRUSKV_RDWR / _WRONLY / _RDONLY
   size_t memtable_size;       // MemTable capacity limit in bytes
-  size_t queue_depth;         // flushing/migration queue slots (unused: v1
-                              // uses the runtime-wide queues)
   int cache_local;            // local cache on/off
   size_t cache_local_size;    // bytes
   size_t cache_remote_size;   // bytes (active under PAPYRUSKV_RDONLY)
@@ -251,7 +249,7 @@ typedef struct papyruskv_health_struct {
   int suspect_peers;      /* peers that exhausted their retry budgets   */
   long long pipeline_queue_depth;   /* async submission backlog         */
   long long flush_queue_depth;      /* MemTables awaiting compaction    */
-  long long migration_queue_depth;  /* MemTables awaiting dispatch      */
+  long long migration_queue_depth;  /* remote MemTables awaiting acks   */
   long long repl_lag_ops;           /* primary-to-follower append lag   */
   unsigned long long uptime_us;
   unsigned long long window_us;        /* interval the rates cover      */

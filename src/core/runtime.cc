@@ -1,7 +1,6 @@
 #include "core/runtime.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -16,14 +15,10 @@ namespace papyrus::core {
 
 namespace {
 thread_local KvRuntime* tls_runtime = nullptr;
-constexpr size_t kDefaultQueueDepth = 8;
 
 // Metric name for request traffic of opcode `op` ("" suffix = messages).
 const char* OpName(int op) {
   switch (op) {
-    case kOpMigrateChunk: return "migrate_chunk";
-    case kOpPutSync: return "put_sync";
-    case kOpGetReq: return "get_req";
     case kOpShutdown: return "shutdown";
     case kOpPutBatch: return "put_batch";
     case kOpGetMulti: return "get_multi";
@@ -130,16 +125,13 @@ KvRuntime::KvRuntime(net::RankContext& ctx, const std::string& repository)
       restart_comm_(ctx.comm.Dup()),
       signal_comm_(ctx.comm.Dup()),
       flush_queue_(kDefaultQueueDepth),
-      migration_queue_(kDefaultQueueDepth),
       retry_(fault::RetryPolicy::FromEnv()),
       crash_point_(&fault::Registry::Instance().GetPoint("rank.crash")),
       repl_drop_point_(
           &fault::Registry::Instance().GetPoint("repl.append.drop")) {
   // Resolve the runtime's hot-path metrics once; updates are then lock-free.
   g_flush_q_ = &metrics_.GetGauge("net.flush_queue_depth");
-  g_mig_q_ = &metrics_.GetGauge("net.migration_queue_depth");
   h_handler_us_ = &metrics_.GetHistogram("net.handler_service_us");
-  h_migration_us_ = &metrics_.GetHistogram("store.migration_us");
   for (int op = 0; op <= kOpMax; ++op) {
     const std::string base = std::string("net.req.") + OpName(op);
     c_req_msgs_[op] = &metrics_.GetCounter(base + ".msgs");
@@ -151,6 +143,7 @@ KvRuntime::KvRuntime(net::RankContext& ctx, const std::string& repository)
   c_req_timeouts_ = &metrics_.GetCounter("net.req.timeouts");
   c_suspects_ = &metrics_.GetCounter("net.peer.suspects");
   g_async_depth_ = &metrics_.GetGauge("async.queue_depth");
+  g_mig_q_ = &metrics_.GetGauge("net.migration_queue_depth");
   g_repl_lag_ = &metrics_.GetGauge("repl.lag_ops");
   h_kv_put_us_ = &metrics_.GetHistogram("kv.put_us");
   h_kv_get_us_ = &metrics_.GetHistogram("kv.get_us");
@@ -194,7 +187,6 @@ KvRuntime::~KvRuntime() {
 
 void KvRuntime::StartThreads() {
   compaction_thread_ = std::thread([this] { CompactionLoop(); });
-  dispatcher_thread_ = std::thread([this] { DispatcherLoop(); });
   handler_thread_ = std::thread([this] { HandlerLoop(); });
   pipeline_.Start();
   // No-op unless PAPYRUSKV_TIMELINE_MS configured it; the sampler only
@@ -206,7 +198,7 @@ void KvRuntime::StopThreads() {
   // The sampler goes first (it only observes); Stop takes the tail-window
   // sample so short runs still export a series.
   timeline_.Stop();
-  // Auxiliary (restart) tasks may still need the dispatcher/handler/
+  // Auxiliary (restart) tasks may still need the pipeline/handler/
   // compaction threads; join them before tearing those down.
   std::vector<std::thread> aux;
   {
@@ -222,13 +214,9 @@ void KvRuntime::StopThreads() {
   CompactionJob stop_flush;
   stop_flush.shutdown = true;
   flush_queue_.Push(std::move(stop_flush));
-  MigrationJob stop_mig;
-  stop_mig.shutdown = true;
-  migration_queue_.Push(std::move(stop_mig));
   // The handler exits on a self-addressed shutdown request.
   req_comm_.Send(ctx_.rank, kOpShutdown, Slice());  // lint:allow-direct-send
   compaction_thread_.join();
-  dispatcher_thread_.join();
   handler_thread_.join();
 }
 
@@ -409,94 +397,6 @@ void KvRuntime::CompactionLoop() {
   }
 }
 
-void KvRuntime::DispatcherLoop() {
-  AdoptObservability("dispatcher");
-  for (;;) {
-    MigrationJob job = migration_queue_.Pop();
-    if (job.shutdown) return;
-    g_mig_q_->Add(-1);
-    if (!job.db || !job.mem) continue;
-
-    obs::ScopedLatency lat(h_migration_us_);
-    // Root span for the whole migration; each chunk gets its own detached
-    // child below (chunks overlap and ack out of order, so they must not
-    // stack on the thread's context).
-    obs::OpSpan span("net", "migration");
-    // §2.4 migration: sort by owner, accumulate per rank, send one chunk
-    // per owner, then wait for the acks confirming application.
-    auto chunks = job.db->CollectOwnerChunks(*job.mem);
-    if (crashed()) {
-      // A crashed rank emits no traffic; drop the payload but keep the
-      // drain bookkeeping so a fence on this rank cannot hang.
-      job.db->MigrationFinished(job.mem);
-      continue;
-    }
-    struct Pending {
-      int owner;
-      std::string payload;
-      int tag;
-      std::unique_ptr<obs::OpSpan> rpc;  // open until the chunk is acked
-    };
-    std::vector<Pending> pending;
-    pending.reserve(chunks.size());
-    for (auto& [owner, records] : chunks) {
-      assert(owner != ctx_.rank &&
-             "remote MemTable must not hold self-owned pairs");
-      const int tag = AllocRespTag();
-      auto rpc = std::make_unique<obs::OpSpan>(
-          "net", "migrate_chunk.rpc", obs::OpSpan::kDetached);
-      rpc->MarkFlowOut();
-      Pending p;
-      p.owner = owner;
-      p.payload = EncodeMigrateChunk(job.db->id(), static_cast<uint32_t>(tag),
-                                     records, rpc->context());
-      p.tag = tag;
-      p.rpc = std::move(rpc);
-      pending.push_back(std::move(p));
-    }
-    for (const auto& p : pending) {
-      flight_.Record(obs::FlightKind::kOpBegin, "migrate_chunk", p.owner,
-                     retry_.max_attempts);
-      SendRequest(p.owner, kOpMigrateChunk, p.payload);
-    }
-    for (auto& p : pending) {
-      // Bounded re-send on a lost chunk or ack.  Re-applying a chunk is
-      // idempotent (the handler replays the same records in order), and the
-      // dispatcher holds this migration until acked, so no later chunk from
-      // this rank can interleave with the retry.
-      net::Message ack;
-      bool acked =
-          resp_comm_.RecvFor(p.owner, p.tag, retry_.reply_timeout_us, &ack);
-      for (int attempt = 1; attempt < retry_.max_attempts && !acked;
-           ++attempt) {
-        c_req_retries_->Inc();
-        flight_.Record(obs::FlightKind::kRetry, "migrate_chunk", p.owner,
-                       attempt);
-        PreciseSleepMicros(retry_.BackoffUs(attempt));
-        SendRequest(p.owner, kOpMigrateChunk, p.payload);
-        acked =
-            resp_comm_.RecvFor(p.owner, p.tag, retry_.reply_timeout_us, &ack);
-      }
-      p.rpc.reset();  // close the chunk's RPC span at ack (or give-up) time
-      if (!acked) {
-        // The fence must still complete: surface the peer as suspect and
-        // move on rather than wedging every thread behind this migration.
-        c_req_timeouts_->Inc();
-        flight_.Record(obs::FlightKind::kTimeout, "migrate_chunk", p.owner,
-                       retry_.max_attempts);
-        MarkSuspect(p.owner);
-        PLOG_ERROR << "migration chunk to rank " << p.owner
-                   << " unacknowledged after " << retry_.max_attempts
-                   << " attempts";
-        DumpFlight(flight_, "migration unacked");
-      } else {
-        flight_.Record(obs::FlightKind::kOpEnd, "migrate_chunk", p.owner);
-      }
-    }
-    job.db->MigrationFinished(job.mem);
-  }
-}
-
 void KvRuntime::HandlerLoop() {
   AdoptObservability("handler");
   for (;;) {
@@ -514,19 +414,6 @@ void KvRuntime::HandlerLoop() {
     // Service time only (the Recv wait above is idle time, not load).
     obs::ScopedLatency lat(h_handler_us_);
     switch (m.tag) {
-      case kOpMigrateChunk:
-        HandleMigrateChunk(m, /*sync_put=*/false);
-        break;
-        // analyze:allow-proto-handler: legacy single-op kind — new code sends
-      // kOpPutBatch, but mixed-version peers may still send this
-      case kOpPutSync:
-        HandleMigrateChunk(m, /*sync_put=*/true);
-        break;
-      // analyze:allow-proto-handler: legacy single-op kind — new code sends
-      // kOpGetMulti, but mixed-version peers may still send this
-      case kOpGetReq:
-        HandleGetReq(m);
-        break;
       case kOpPutBatch:
         HandlePutBatch(m);
         break;
@@ -551,64 +438,6 @@ void KvRuntime::HandlerLoop() {
   }
 }
 
-void KvRuntime::HandleMigrateChunk(const net::Message& m, bool sync_put) {
-  uint32_t dbid = 0, resp_tag = 0;
-  std::vector<KvRecord> records;
-  obs::TraceContext ctx;
-  if (!DecodeMigrateChunk(m.payload, &dbid, &resp_tag, &records, &ctx)) {
-    PLOG_ERROR << "handler: malformed migrate chunk from rank " << m.src;
-    return;
-  }
-  // Child of the caller's RPC span (flow-linked across ranks).
-  obs::OpSpan span("net",
-                   sync_put ? "handle.put_sync" : "handle.migrate_chunk",
-                   ctx);
-  RecordQueueWait(m);
-  DbShardPtr db = Find(static_cast<int>(dbid));
-  if (db) {
-    Status s = db->ApplyRecords(records);
-    if (!s.ok()) {
-      PLOG_ERROR << "handler: apply failed: " << s.ToString();
-    }
-  } else {
-    PLOG_WARN << "handler: " << (sync_put ? "put" : "migration")
-              << " for unknown db " << dbid;
-  }
-  // Ack after application — fences rely on this ordering.  Under
-  // replication the ack additionally waits for the applied ops to reach
-  // quorum (DESIGN.md §12); the deferred closure fires from the pipeline
-  // thread when the append acks land, so the handler never blocks here.
-  if (db) {
-    if (repl::Replicator* r = db->replicator()) {
-      const int src = m.src;
-      const int tag = static_cast<int>(resp_tag);
-      r->AckWhenDurable(r->last_seq(),
-                        [this, src, tag] { SendResponse(src, tag, Slice()); });
-      return;
-    }
-  }
-  SendResponse(m.src, static_cast<int>(resp_tag), Slice());
-}
-
-void KvRuntime::HandleGetReq(const net::Message& m) {
-  uint32_t dbid = 0, resp_tag = 0, caller_group = 0;
-  std::string key;
-  obs::TraceContext ctx;
-  if (!DecodeGetReq(m.payload, &dbid, &resp_tag, &caller_group, &key, &ctx)) {
-    PLOG_ERROR << "handler: malformed get request from rank " << m.src;
-    return;
-  }
-  // Child of the caller's RPC span; its own context rides the response so
-  // the reply carries the service span's identity back to the caller.
-  obs::OpSpan span("net", "handle.get_req", ctx);
-  RecordQueueWait(m);
-  GetResp resp;
-  DbShardPtr db = Find(static_cast<int>(dbid));
-  if (db) resp = db->HandleRemoteGet(key, caller_group);
-  SendResponse(m.src, static_cast<int>(resp_tag),
-               EncodeGetResp(resp, span.context()));
-}
-
 void KvRuntime::HandlePutBatch(const net::Message& m) {
   uint32_t dbid = 0, resp_tag = 0;
   std::vector<KvRecord> records;
@@ -618,7 +447,8 @@ void KvRuntime::HandlePutBatch(const net::Message& m) {
     return;
   }
   // Child of the pipeline's put_batch.rpc span (flow-linked across ranks):
-  // the entire batch is serviced under one handler wakeup.
+  // the entire batch — coalesced sequential puts or one migration chunk —
+  // is serviced under one handler wakeup.
   obs::OpSpan span("net", "handle.put_batch", ctx);
   RecordQueueWait(m);
   std::vector<int32_t> statuses;
@@ -667,8 +497,8 @@ void KvRuntime::HandleGetMulti(const net::Message& m) {
       results[i].status = PAPYRUSKV_INVALID_DB;
       continue;
     }
-    // The full-search flag replaces the legacy caller_group=0xffffffff
-    // convention per op (§2.7 fallback after a failed shared read).
+    // Full search (§2.7 fallback after a failed shared read) is
+    // HandleRemoteGet's caller_group=0xffffffff: a group nobody is in.
     results[i].resp = db->HandleRemoteGet(
         ops[i].key, ops[i].full_search ? 0xffffffffu : caller_group);
   }
@@ -793,29 +623,40 @@ void KvRuntime::SendResponse(int dst, int tag, const Slice& payload) {
 
 Status KvRuntime::RequestReply(int dst, int op, const Slice& payload,
                                int resp_tag, net::Message* reply) {
+  BeginRequest(dst, op, payload);
+  return AwaitReply(dst, op, payload, resp_tag, reply);
+}
+
+void KvRuntime::BeginRequest(int dst, int op, const Slice& payload) {
   flight_.Record(obs::FlightKind::kOpBegin, OpName(op), dst,
                  retry_.max_attempts);
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      c_req_retries_->Inc();
-      flight_.Record(obs::FlightKind::kRetry, OpName(op), dst, attempt);
-      PreciseSleepMicros(retry_.BackoffUs(attempt - 1));
-    }
-    SendRequest(dst, op, payload);
+  SendRequest(dst, op, payload);
+}
+
+Status KvRuntime::AwaitReply(int dst, int op, const Slice& payload,
+                             int resp_tag, net::Message* reply) {
+  for (int attempt = 1;; ++attempt) {
     if (resp_comm_.RecvFor(dst, resp_tag, retry_.reply_timeout_us, reply)) {
       flight_.Record(obs::FlightKind::kOpEnd, OpName(op), dst);
       return Status::OK();
     }
+    if (attempt >= retry_.max_attempts) break;
+    c_req_retries_->Inc();
+    flight_.Record(obs::FlightKind::kRetry, OpName(op), dst, attempt);
+    PreciseSleepMicros(retry_.BackoffUs(attempt));
+    SendRequest(dst, op, payload);
   }
   c_req_timeouts_->Inc();
   flight_.Record(obs::FlightKind::kTimeout, OpName(op), dst,
                  retry_.max_attempts);
   MarkSuspect(dst);
+  PLOG_ERROR << OpName(op) << " to rank " << dst << " unacknowledged after "
+             << retry_.max_attempts << " attempts";
   // Post-mortem: the ring now ends with the begin/retry/timeout story of
   // the op that failed and the peer that failed it.
   DumpFlight(flight_, "request timeout");
   return Status::Timeout("no reply from rank " + std::to_string(dst) +
-                         " for op " + std::to_string(op) + " after " +
+                         " for " + OpName(op) + " after " +
                          std::to_string(retry_.max_attempts) + " attempts");
 }
 

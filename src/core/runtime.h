@@ -6,12 +6,15 @@
 //     MemTables → SSTables), runs merge compaction, and executes
 //     checkpoint/restart file transfers (§4.2: "the compaction thread in
 //     each rank starts to transfer the SSTables");
-//   * the *message dispatcher* — drains the migration queue, sorting and
-//     batching records per owner and sending them over the interconnect;
+//   * the *async pipeline* (src/async/) — its ops lane is the paper's
+//     message dispatcher: it carries sequential-mode puts, remote gets and
+//     relaxed-mode migration (one put_batch frame per sealed remote
+//     MemTable and owner), and its repl lane the replication stream;
 //   * the *message handler* — receives requests from other ranks and
 //     applies/serves them;
-//   * the flushing and migration queues themselves — lock-free, fixed
-//     size, FIFO; producers block while full (back-pressure, §2.4);
+//   * the flushing queue — lock-free, fixed size, FIFO; producers block
+//     while full (back-pressure, §2.4; migration has the same bound inside
+//     the pipeline);
 //   * communicators dup'ed from the application's (§2.4: "the runtime
 //     creates new independent MPI communicators"), so runtime traffic can
 //     never interfere with application messages;
@@ -58,13 +61,10 @@ struct CompactionJob {
   bool shutdown = false;
 };
 
-// Work item for the message dispatcher: an immutable remote MemTable to
-// migrate.
-struct MigrationJob {
-  DbShardPtr db;
-  store::MemTablePtr mem;
-  bool shutdown = false;
-};
+// Depth of the flushing queue, and the bound on sealed remote MemTables
+// awaiting migration acks (AsyncPipeline::SubmitMigration): a producer that
+// would exceed it blocks (back-pressure, §2.4).
+inline constexpr size_t kDefaultQueueDepth = 8;
 
 // Live per-rank health snapshot (papyruskv_health): read from the running
 // store without stopping it — atomics, two leaf-mutex peeks, no
@@ -79,7 +79,8 @@ struct HealthSnapshot {
   int suspect_peers = 0;
   int64_t pipeline_queue_depth = 0;   // async.queue_depth
   int64_t flush_queue_depth = 0;      // net.flush_queue_depth
-  int64_t migration_queue_depth = 0;  // net.migration_queue_depth
+  int64_t migration_queue_depth = 0;  // net.migration_queue_depth: sealed
+                                      // remote MemTables awaiting ack
   int64_t repl_lag_ops = 0;           // repl.lag_ops
   uint64_t uptime_us = 0;
   uint64_t window_us = 0;         // the window the rates cover
@@ -153,16 +154,12 @@ class KvRuntime {
   Status Close(int db);
   DbShardPtr Find(int db);
 
-  // ---- Queues (called from DbShard; block while full) ----
-  // The depth gauges count queued items; consumers decrement after Pop, so
-  // the gauge reflects back-pressure the producers feel.
+  // ---- Flushing queue (called from DbShard; blocks while full) ----
+  // The depth gauge counts queued items; the consumer decrements after Pop,
+  // so the gauge reflects back-pressure the producers feel.
   void EnqueueFlush(CompactionJob job) {
     g_flush_q_->Add(1);
     flush_queue_.Push(std::move(job));
-  }
-  void EnqueueMigration(MigrationJob job) {
-    g_mig_q_->Add(1);
-    migration_queue_.Push(std::move(job));
   }
   // Runs `task` on the compaction thread after currently queued jobs
   // (checkpoint transfers: never enqueue flush work from inside).
@@ -179,12 +176,6 @@ class KvRuntime {
   // ---- Transport helpers ----
   void SendRequest(int dst, int op, const Slice& payload);
   void SendResponse(int dst, int tag, const Slice& payload);
-  // Deadline receive on the response communicator (the pipeline's ack
-  // collection); false on timeout.
-  bool RecvResponseFor(int src, int tag, uint64_t timeout_us,
-                       net::Message* out) {
-    return resp_comm_.RecvFor(src, tag, timeout_us, out);
-  }
 
   // ---- Async submission/completion pipeline (src/async/) ----
   async::AsyncPipeline& pipeline() { return pipeline_; }
@@ -211,13 +202,20 @@ class KvRuntime {
     return resp_tag_seq_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Request/reply with bounded retry (DESIGN.md §8): sends (dst, op,
-  // payload) and waits up to retry().reply_timeout_us for the reply tagged
-  // resp_tag; on timeout re-sends (runtime requests are idempotent) with
-  // exponential backoff.  After retry().max_attempts attempts, marks dst
-  // suspect and returns PAPYRUSKV_ERR_TIMEOUT.
+  // Request/reply with bounded retry (DESIGN.md §8): BeginRequest, then
+  // AwaitReply.
   Status RequestReply(int dst, int op, const Slice& payload, int resp_tag,
                       net::Message* reply);
+  // First attempt of a request: records its flight op_begin and sends it.
+  void BeginRequest(int dst, int op, const Slice& payload);
+  // The one retry ladder, for a request BeginRequest already sent: waits up
+  // to retry().reply_timeout_us for the reply tagged resp_tag; on timeout
+  // re-sends (runtime requests are idempotent) with exponential backoff.
+  // After retry().max_attempts attempts it counts net.req.timeouts, marks
+  // dst suspect, dumps the flight recorder and returns
+  // PAPYRUSKV_ERR_TIMEOUT.
+  Status AwaitReply(int dst, int op, const Slice& payload, int resp_tag,
+                    net::Message* reply);
 
   const fault::RetryPolicy& retry() const { return retry_; }
 
@@ -268,11 +266,8 @@ class KvRuntime {
   void StopThreads();
 
   void CompactionLoop();
-  void DispatcherLoop();
   void HandlerLoop();
 
-  void HandleMigrateChunk(const net::Message& m, bool sync_put);
-  void HandleGetReq(const net::Message& m);
   void HandlePutBatch(const net::Message& m);
   void HandleGetMulti(const net::Message& m);
   void HandleReplAppend(const net::Message& m);
@@ -299,10 +294,8 @@ class KvRuntime {
   net::Communicator signal_comm_;   // papyruskv_signal_*
 
   BlockingRingQueue<CompactionJob> flush_queue_;
-  BlockingRingQueue<MigrationJob> migration_queue_;
 
   std::thread compaction_thread_;
-  std::thread dispatcher_thread_;
   std::thread handler_thread_;
   // Leaf locks: each guards exactly the fields named below and is never
   // held while acquiring another lock.
@@ -338,11 +331,9 @@ class KvRuntime {
   obs::TraceBuffer trace_;
   obs::FlightRecorder flight_;
   obs::Gauge* g_flush_q_;            // net.flush_queue_depth
-  obs::Gauge* g_mig_q_;              // net.migration_queue_depth
   obs::Histogram* h_handler_us_;     // net.handler_service_us
-  obs::Histogram* h_migration_us_;   // store.migration_us
-  // Request traffic split by opcode (kOpMigrateChunk..kOpMax) plus a
-  // slot 0 catch-all; responses are a single bucket.
+  // Request traffic split by opcode (1..kOpMax) plus a slot 0 catch-all;
+  // responses are a single bucket.
   obs::Counter* c_req_msgs_[kOpMax + 1];
   obs::Counter* c_req_bytes_[kOpMax + 1];
   obs::Counter* c_resp_msgs_;
@@ -352,6 +343,7 @@ class KvRuntime {
   obs::Counter* c_suspects_;         // net.peer.suspects
   // Resolved for Health(): the gauges/histograms other layers own.
   obs::Gauge* g_async_depth_;        // async.queue_depth
+  obs::Gauge* g_mig_q_;              // net.migration_queue_depth
   obs::Gauge* g_repl_lag_;           // repl.lag_ops
   obs::Histogram* h_kv_put_us_;      // kv.put_us
   obs::Histogram* h_kv_get_us_;      // kv.get_us

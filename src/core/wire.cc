@@ -18,7 +18,7 @@ size_t ReserveBound(uint32_t count, const Slice& in, size_t per) {
 }  // namespace
 
 void PutTraceCtx(std::string* out, const obs::TraceContext& ctx) {
-  if (!ctx.valid()) return;  // legacy encoding, byte-identical to pre-trace
+  if (!ctx.valid()) return;  // no-context encoding: no header bytes
   PutFixed32(out, kTraceMagic);
   PutFixed64(out, ctx.trace_id);
   PutFixed64(out, ctx.span_id);
@@ -27,7 +27,7 @@ void PutTraceCtx(std::string* out, const obs::TraceContext& ctx) {
 
 bool GetTraceCtx(Slice* in, obs::TraceContext* ctx) {
   if (ctx) *ctx = obs::TraceContext();
-  if (in->size() < 4) return true;  // too short for a header: legacy body
+  if (in->size() < 4) return true;  // too short for a header: no context
   Slice peek = *in;
   uint32_t magic = 0;
   if (!GetFixed32(&peek, &magic) || magic != kTraceMagic) return true;
@@ -44,80 +44,8 @@ bool GetTraceCtx(Slice* in, obs::TraceContext* ctx) {
   return true;
 }
 
-std::string EncodeMigrateChunk(uint32_t dbid, uint32_t resp_tag,
-                               const std::vector<KvRecord>& records,
-                               const obs::TraceContext& trace_ctx) {
+std::string EncodeGetResp(const GetResp& r) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  PutFixed32(&out, dbid);
-  PutFixed32(&out, resp_tag);
-  PutFixed32(&out, static_cast<uint32_t>(records.size()));
-  for (const KvRecord& r : records) {
-    PutLengthPrefixed(&out, r.key);
-    PutLengthPrefixed(&out, r.value);
-    out.push_back(r.tombstone ? 1 : 0);
-  }
-  return out;
-}
-
-bool DecodeMigrateChunk(const Slice& payload, uint32_t* dbid,
-                        uint32_t* resp_tag, std::vector<KvRecord>* records,
-                        obs::TraceContext* trace_ctx) {
-  Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  uint32_t count = 0;
-  if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
-      !GetFixed32(&in, &count)) {
-    return false;
-  }
-  records->clear();
-  records->reserve(ReserveBound(count, in, 3));
-  for (uint32_t i = 0; i < count; ++i) {
-    Slice key, value;
-    if (!GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value) ||
-        in.empty()) {
-      return false;
-    }
-    KvRecord r;
-    r.key = key.ToString();
-    r.value = value.ToString();
-    r.tombstone = in[0] != 0;
-    in.remove_prefix(1);
-    records->push_back(std::move(r));
-  }
-  return in.empty();
-}
-
-std::string EncodeGetReq(uint32_t dbid, uint32_t resp_tag,
-                         uint32_t caller_group, const Slice& key,
-                         const obs::TraceContext& trace_ctx) {
-  std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  PutFixed32(&out, dbid);
-  PutFixed32(&out, resp_tag);
-  PutFixed32(&out, caller_group);
-  PutLengthPrefixed(&out, key);
-  return out;
-}
-
-bool DecodeGetReq(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
-                  uint32_t* caller_group, std::string* key,
-                  obs::TraceContext* trace_ctx) {
-  Slice in = payload;
-  Slice k;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
-      !GetFixed32(&in, caller_group) || !GetLengthPrefixed(&in, &k)) {
-    return false;
-  }
-  *key = k.ToString();
-  return in.empty();
-}
-
-std::string EncodeGetResp(const GetResp& r,
-                          const obs::TraceContext& trace_ctx) {
-  std::string out;
-  PutTraceCtx(&out, trace_ctx);
   out.push_back(r.found ? 1 : 0);
   out.push_back(r.tombstone ? 1 : 0);
   out.push_back(r.same_group ? 1 : 0);
@@ -128,10 +56,8 @@ std::string EncodeGetResp(const GetResp& r,
   return out;
 }
 
-bool DecodeGetResp(const Slice& payload, GetResp* r,
-                   obs::TraceContext* trace_ctx) {
+bool DecodeGetResp(const Slice& payload, GetResp* r) {
   Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
   if (in.size() < 3) return false;
   r->found = in[0] != 0;
   r->tombstone = in[1] != 0;
@@ -290,8 +216,7 @@ std::string EncodeGetMultiResp(const std::vector<GetMultiResult>& results,
   PutFixed32(&out, static_cast<uint32_t>(results.size()));
   for (const GetMultiResult& r : results) {
     PutFixed32(&out, static_cast<uint32_t>(r.status));
-    // Embed the legacy GetResp body (no nested trace header) so per-key
-    // payloads stay byte-identical between the single-op and batched paths.
+    // The embedded GetResp body carries no nested trace header.
     PutLengthPrefixed(&out, EncodeGetResp(r.resp));
   }
   return out;

@@ -1,27 +1,15 @@
 // Wire protocol between rank runtimes.
 //
-// Paper §2.4/§2.6: the message dispatcher (sender side) and message handler
-// (receiver side) exchange request/response messages over communicators
-// private to the PapyrusKV runtime.  The message kinds:
-//
-//   kOpMigrateChunk — relaxed-mode migration: a batch of key-value pairs
-//       accumulated per owner from an immutable remote MemTable.  The
-//       handler applies the batch to its local MemTable, then acks (the ack
-//       is what lets fence/barrier know all data has *landed*, not merely
-//       been sent).
-//   kOpPutSync — sequential-mode put/delete: a single pair, applied
-//       synchronously; the caller blocks until the ack (§3.1).
-//   kOpGetReq / GetResp — remote get.  The request carries the caller's
-//       storage-group id; when it matches the owner's, the owner searches
-//       only its in-memory structures and returns `same_group` plus its
-//       latest flushed SSID so the caller can search the shared SSTables
-//       itself (§2.7).
-//   kOpShutdown — runtime teardown for the handler loop.
+// Paper §2.4/§2.6: the sending side (the async pipeline's lanes, plus
+// callers running their own request through KvRuntime::RequestReply) and the
+// message handler (receiver side) exchange request/response messages over
+// communicators private to the PapyrusKV runtime.  The message kinds are
+// listed with WireOp below.
 //
 // Requests travel on the request communicator with tag = opcode; responses
 // on the response communicator with the tag the requester wrote into the
-// request header, so concurrent requesting threads (app thread, dispatcher,
-// restart task) never steal each other's replies.
+// request header, so concurrent requesting threads (app thread, pipeline
+// lanes, restart task) never steal each other's replies.
 #pragma once
 
 #include <cstdint>
@@ -41,36 +29,40 @@ namespace papyrus::core {
 //
 //   [u32 kTraceMagic][u64 trace_id][u64 span_id][u8 flags]
 //
-// ahead of its legacy body.  The magic's low byte (the first byte on the
-// wire, little-endian) is 0xff, which no legacy payload can start with:
-// MigrateChunk/GetReq begin with a small sequential dbid and GetResp with a
-// 0/1 `found` byte.  Decoders peek the first word — absent magic means a
-// legacy payload, so old-format messages round-trip unchanged through new
-// code and new no-context messages are byte-identical to the old encoding.
+// ahead of its body.  The magic's low byte (the first byte on the wire,
+// little-endian) is 0xff, which no body can start with: every frame body
+// begins with the batch version byte, and the GetResp bodies embedded in a
+// GetMultiResp begin with a 0/1 `found` byte and never carry a header.
+// Decoders peek the first word — absent magic means a no-context payload,
+// so untraced frames carry no header bytes at all.
 // `flags` bit 0 = sampled; other bits reserved for future versions.
 inline constexpr uint32_t kTraceMagic = 0x54524cffu;  // "\xffLRT" on the wire
 
 // Appends the trace header to `out` when `ctx` is a live sampled context.
 void PutTraceCtx(std::string* out, const obs::TraceContext& ctx);
 // Consumes a leading trace header from `in` if present; fills `ctx` (left
-// invalid when the payload is legacy-format or ctx is null).  Returns false
+// invalid when the payload carries no context).  Returns false
 // only on a malformed (truncated) header.
 bool GetTraceCtx(Slice* in, obs::TraceContext* ctx);
 
 enum WireOp : int {
-  kOpMigrateChunk = 1,
-  kOpPutSync = 2,
-  kOpGetReq = 3,
-  kOpShutdown = 4,
+  // Runtime teardown for the handler loop (a loopback message).
+  kOpShutdown = 1,
   // Batched submission/completion pipeline (src/async/, DESIGN.md §9):
-  //   kOpPutBatch — N coalesced puts/deletes for one destination, acked by
-  //       a single batched ack carrying one status per op;
-  //   kOpGetMulti — N coalesced get requests for one destination, answered
-  //       by one response carrying a full GetResp per key.
-  // The legacy single-op kinds above remain decodable (and kOpPutSync
-  // remains serviceable) so mixed-version traffic degrades gracefully.
-  kOpPutBatch = 5,
-  kOpGetMulti = 6,
+  //   kOpPutBatch — N puts/deletes for one destination, acked by a single
+  //       batched ack carrying one status per op.  It carries both
+  //       sequential-mode puts (coalesced, §3.1) and relaxed-mode migration
+  //       (one frame per sealed remote MemTable and owner, §2.4).  The ack
+  //       is sent after application: that is what lets fence/barrier know
+  //       all data has *landed*, not merely been sent;
+  //   kOpGetMulti — N get requests for one destination, answered by one
+  //       response carrying a full GetResp per key.  The request carries the
+  //       caller's storage-group id; when it matches the owner's, the owner
+  //       searches only its in-memory structures and returns `same_group`
+  //       plus its live SSTable list so the caller can search the shared
+  //       SSTables itself (§2.7).
+  kOpPutBatch = 2,
+  kOpGetMulti = 3,
   // Intra-group k-way replication (src/repl/, DESIGN.md §12):
   //   kOpReplAppend — a primary streams a run of committed ops (epoch +
   //       contiguous sequence numbers) to one follower, which applies them
@@ -82,48 +74,21 @@ enum WireOp : int {
   //   kOpReplRead — read-from-replica: serve a get from the follower's
   //       shadow MemTable (PAPYRUSKV_READ_REPLICAS=1), falling back to the
   //       owner on a shadow miss.
-  kOpReplAppend = 7,
-  kOpReplQuery = 8,
-  kOpReplRead = 9,
+  kOpReplAppend = 4,
+  kOpReplQuery = 5,
+  kOpReplRead = 6,
 };
 
 // Highest opcode value — sizing bound for per-opcode metric arrays.
 inline constexpr int kOpMax = kOpReplRead;
 
-// Response-communicator tags, one per requester role within a rank.
-//
-// With retry-on-timeout (DESIGN.md §8) a fixed per-role tag is no longer
-// enough: a retried request's reply could be satisfied by the *original*
-// attempt's late reply, and the original's reply would then alias the next
-// request from the same role.  Requests that may be retried therefore carry
-// a unique tag from KvRuntime::AllocRespTag() (>= kDynamicRespTagBase);
-// stale replies to abandoned tags sit harmlessly in the mailbox.  The fixed
-// tags below remain for the restart task, which runs single-file.
-//
-// Fixed tags live strictly between the opcode space and the dynamic-tag
-// floor (kOpMax < tag < kDynamicRespTagBase), so a response tag can never
-// be mistaken for an opcode or collide with an AllocRespTag() value — the
-// static_asserts below pin the partition.
-enum RespTag : int {
-  kTagGetResp = 16,     // application thread gets
-  kTagPutAck = 17,      // application thread sequential puts
-  kTagMigrateAck = 18,  // dispatcher chunk acks
-  kTagRedistAck = 19,   // restart-with-redistribution task
-};
-
-// First tag handed out by KvRuntime::AllocRespTag(); fixed RespTag values
-// stay below it.
+// Response-communicator tags.  With retry-on-timeout (DESIGN.md §8) a fixed
+// per-role tag is not enough: a retried request's reply could be satisfied
+// by the *original* attempt's late reply, and the original's reply would
+// then alias the next request from the same role.  Every request therefore
+// carries a unique tag from KvRuntime::AllocRespTag(), starting at this
+// floor; stale replies to abandoned tags sit harmlessly in the mailbox.
 inline constexpr int kDynamicRespTagBase = 100;
-
-// Tag-space partition: opcodes < fixed response tags < dynamic tags.
-static_assert(kOpMax < kTagGetResp && kOpMax < kTagPutAck &&
-                  kOpMax < kTagMigrateAck && kOpMax < kTagRedistAck,
-              "fixed RespTag values must sit above the opcode space");
-static_assert(kTagGetResp < kDynamicRespTagBase &&
-                  kTagPutAck < kDynamicRespTagBase &&
-                  kTagMigrateAck < kDynamicRespTagBase &&
-                  kTagRedistAck < kDynamicRespTagBase,
-              "fixed RespTag values must sit below the dynamic-tag floor");
 static_assert(kOpMax < kDynamicRespTagBase,
               "opcode space must stay below the response-tag floor");
 
@@ -133,29 +98,12 @@ struct KvRecord {
   bool tombstone = false;
 };
 
-// ---- MigrateChunk / PutSync ------------------------------------------------
-// [trace hdr?][u32 dbid][u32 resp_tag][u32 count]
-//   count × ([lp key][lp value][u8 tomb])
-std::string EncodeMigrateChunk(uint32_t dbid, uint32_t resp_tag,
-                               const std::vector<KvRecord>& records,
-                               const obs::TraceContext& trace_ctx = {});
-bool DecodeMigrateChunk(const Slice& payload, uint32_t* dbid,
-                        uint32_t* resp_tag, std::vector<KvRecord>* records,
-                        obs::TraceContext* trace_ctx = nullptr);
-
-// ---- GetReq ----------------------------------------------------------------
-// [trace hdr?][u32 dbid][u32 resp_tag][u32 caller_group][lp key]
-std::string EncodeGetReq(uint32_t dbid, uint32_t resp_tag,
-                         uint32_t caller_group, const Slice& key,
-                         const obs::TraceContext& trace_ctx = {});
-bool DecodeGetReq(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
-                  uint32_t* caller_group, std::string* key,
-                  obs::TraceContext* trace_ctx = nullptr);
-
 // ---- GetResp ---------------------------------------------------------------
-// [trace hdr?][u8 found][u8 tombstone][u8 same_group][u64 latest_ssid]
+// [u8 found][u8 tombstone][u8 same_group][u64 latest_ssid]
 // [u32 nssids][u64 ...][lp value]
 //
+// One key's answer, embedded per op in a GetMultiResp (never sent alone, so
+// it carries no trace header of its own).
 // `ssids` is the owner's exact live SSTable list (newest first) at response
 // time, filled on a same-group memory miss.  The caller searches only these
 // tables on the shared NVM: a stale reader cached from before an owner
@@ -168,18 +116,15 @@ struct GetResp {
   std::vector<uint64_t> ssids;
   std::string value;
 };
-std::string EncodeGetResp(const GetResp& r,
-                          const obs::TraceContext& trace_ctx = {});
-bool DecodeGetResp(const Slice& payload, GetResp* r,
-                   obs::TraceContext* trace_ctx = nullptr);
+std::string EncodeGetResp(const GetResp& r);
+bool DecodeGetResp(const Slice& payload, GetResp* r);
 
 // ---- Batched submission/completion codec (versioned) -----------------------
 // Every batch frame starts (after the optional trace header) with a one-byte
 // format version so the wire protocol can evolve without re-keying opcodes.
 // Decoders reject frames whose version they do not know; v1 is the only
 // version today.  The version byte (0x01) can never alias the trace magic
-// (first wire byte 0xff) nor a legacy body (those begin with a small dbid /
-// found byte and are carried under different opcodes anyway).
+// (first wire byte 0xff).
 inline constexpr uint8_t kBatchVersion = 1;
 
 // ---- PutBatch --------------------------------------------------------------
@@ -209,8 +154,7 @@ bool DecodePutBatchAck(const Slice& payload, std::vector<int32_t>* statuses,
 //
 // flags bit 0 (kGetFullSearch): search the owner's SSTables even when the
 // caller is in the owner's storage group — used by the caller's fallback
-// re-query after a failed shared read (§2.7), replacing the sync path's
-// caller_group=0xffffffff convention on a per-op basis.
+// re-query after a failed shared read (§2.7).
 inline constexpr uint8_t kGetFullSearch = 0x01;
 struct GetMultiOp {
   std::string key;
@@ -227,9 +171,8 @@ bool DecodeGetMulti(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
 // ---- GetMultiResp ----------------------------------------------------------
 // [trace hdr?][u8 ver][u32 count] count × ([i32 status][lp GetResp-body])
 //
-// Each entry embeds one length-prefixed GetResp body (the legacy encoding,
-// no nested trace header), so the single-op and batched response carry
-// byte-identical per-key payloads.
+// Each entry embeds one length-prefixed GetResp body (no nested trace
+// header).
 struct GetMultiResult {
   int32_t status = PAPYRUSKV_SUCCESS;
   GetResp resp;

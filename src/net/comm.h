@@ -18,7 +18,7 @@
 //
 // Every Send is charged against the simulated interconnect (sim/), so
 // message timing reflects the modelled fabric.  All operations are
-// thread-safe: a rank's main thread, dispatcher, and handler may use their
+// thread-safe: a rank's main thread, pipeline lanes, and handler may use their
 // communicators concurrently (MPI_THREAD_MULTIPLE).
 #pragma once
 

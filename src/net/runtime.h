@@ -30,7 +30,7 @@ struct RankContext {
 };
 
 // The calling thread's rank context; null outside RunRanks.  Background
-// threads spawned inside a rank (compaction, dispatcher, handler) can adopt
+// threads spawned inside a rank (compaction, pipeline, handler) can adopt
 // the parent's context via SetCurrentRankContext.
 RankContext* CurrentRankContext();
 void SetCurrentRankContext(RankContext* ctx);

@@ -11,7 +11,7 @@
 //
 //   { "papyruskv": "flight-v1", "rank": 2, "reason": "request timeout",
 //     "events": [ { "seq": N, "ts_us": T, "kind": "retry",
-//                   "what": "get_req", "a": 1, "b": 3, "trace": "0x..." },
+//                   "what": "get_multi", "a": 1, "b": 3, "trace": "0x..." },
 //                 ... ] }
 //
 // `a`/`b` are per-kind integers (typically peer rank and opcode/attempt);

@@ -239,7 +239,7 @@ void OpSpan::Begin(const char* cat, std::string&& name,
   }
   ctx_.span_id = buf->NextSpanId();
   ctx_.sampled = true;
-  // Detached siblings (dispatcher chunks in flight) end out of order, so
+  // Detached siblings (pipeline frames in flight) end out of order, so
   // they read their parent off the thread but never become it.
   if (scoped_) tls_ctx = ctx_;
   start_ = NowMicros();

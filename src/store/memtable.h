@@ -6,7 +6,7 @@
 // and — in *remote* MemTables only — the owner rank number, so migration
 // can sort and batch entries per owner.  When a MemTable reaches its
 // capacity limit it is sealed (becomes immutable) and handed to the
-// compaction thread (local) or message dispatcher (remote).
+// compaction thread (local) or migrated by the async pipeline (remote).
 //
 // This one class covers all four roles: kind() records local/remote;
 // Seal() flips it immutable.  Thread safety: a shared_mutex — the owning

@@ -1,6 +1,5 @@
 // Versioned batch codec (core/wire.h, DESIGN.md §9): byte-for-byte pins of
-// the v1 frame layouts, proof that the batch opcodes leave every legacy
-// frame encoding untouched, round trips with and without a trace header,
+// the v1 frame layouts, round trips with and without a trace header,
 // and negative decodes — truncation at every prefix length, an unknown
 // version byte, trailing garbage, and a deterministic random-bytes fuzz
 // that must reject (or cleanly accept) without crashing.
@@ -101,53 +100,17 @@ TEST(BatchWireTest, GetMultiRespEmbedsLegacyGetRespBodies) {
   pinned.push_back(1);
   PutFixed32(&pinned, 2);
   PutFixed32(&pinned, static_cast<uint32_t>(PAPYRUSKV_SUCCESS));
-  // Each entry embeds the legacy single-op GetResp encoding verbatim.
+  // Each entry embeds the GetResp body encoding verbatim.
   PutLengthPrefixed(&pinned, EncodeGetResp(hit.resp));
   PutFixed32(&pinned, static_cast<uint32_t>(PAPYRUSKV_NOT_FOUND));
   PutLengthPrefixed(&pinned, EncodeGetResp(miss.resp));
   EXPECT_EQ(EncodeGetMultiResp({hit, miss}), pinned);
 }
 
-// ---- Legacy frames untouched -----------------------------------------------
-
-TEST(BatchWireTest, LegacyFrameEncodingsAreUnchangedByTheBatchCodec) {
-  // The pre-batch frame kinds must still write their original bytes (no
-  // version byte, no other prefix) and decode them unchanged — the batch
-  // codec rides new opcodes, it does not re-key existing traffic.
-  {
-    std::string pinned;
-    PutFixed32(&pinned, 3);    // dbid
-    PutFixed32(&pinned, 200);  // resp_tag
-    PutFixed32(&pinned, 1);    // count
-    PutLengthPrefixed(&pinned, "k");
-    PutLengthPrefixed(&pinned, "v");
-    pinned.push_back(0);
-    EXPECT_EQ(EncodeMigrateChunk(3, 200, {{"k", "v", false}}), pinned);
-    uint32_t dbid = 0, resp_tag = 0;
-    std::vector<KvRecord> records;
-    ASSERT_TRUE(DecodeMigrateChunk(pinned, &dbid, &resp_tag, &records));
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].key, "k");
-  }
-  {
-    std::string pinned;
-    PutFixed32(&pinned, 5);
-    PutFixed32(&pinned, 210);
-    PutFixed32(&pinned, 0xffffffffu);
-    PutLengthPrefixed(&pinned, "needle");
-    EXPECT_EQ(EncodeGetReq(5, 210, 0xffffffffu, "needle"), pinned);
-    uint32_t dbid = 0, resp_tag = 0, group = 0;
-    std::string key;
-    ASSERT_TRUE(DecodeGetReq(pinned, &dbid, &resp_tag, &group, &key));
-    EXPECT_EQ(key, "needle");
-  }
-}
-
 TEST(BatchWireTest, VersionByteCannotAliasLegacyFirstBytes) {
-  // Batch frames start with 0x01 after the optional trace header; legacy
-  // frames start with a dbid low byte or a found flag, and the trace header
-  // starts with 0xff.  A batch frame can therefore never be misread as a
-  // trace header, and a legacy decoder handed a batch frame fails cleanly.
+  // Batch frames start with 0x01 after the optional trace header, and the
+  // trace header starts with 0xff, so a no-context batch frame can never be
+  // misread as a traced one.
   const std::string frame = EncodePutBatch(7, 120, SampleRecords());
   EXPECT_EQ(static_cast<uint8_t>(frame[0]), kBatchVersion);
   const std::string traced =

@@ -159,6 +159,86 @@ TEST_F(NetFaultTest, PersistentDropSurfacesTimeoutAndMarksSuspect) {
   });
 }
 
+TEST_F(NetFaultTest, RelaxedMigrationSurvivesDroppedMessages) {
+  // Relaxed mode: staged remote puts reach their owners only by migration
+  // at the barrier, so every lost migration frame or ack must be re-sent
+  // by the bounded-retry layer until the owner has applied it.
+  setenv("PAPYRUSKV_TIMEOUT_MS", "100", 1);
+  setenv("PAPYRUSKV_RETRY_MAX", "8", 1);
+  RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_RELAXED;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("reldropdb", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    auto shard = papyrus::core::DbHandle(db);
+    const int peer = 1 - ctx.rank;
+
+    ctx.comm.Barrier();
+    if (ctx.rank == 0) Arm("net.msg.drop=0.1");
+    ctx.comm.Barrier();
+    // A fence after each put makes every key its own migration, so the
+    // drop rate has enough frames and acks to bite on.
+    for (const auto& k : KeysOwnedBy(shard, peer, 20)) {
+      ASSERT_EQ(PutStr(db, k, "v:" + k + ":" + std::to_string(ctx.rank)),
+                PAPYRUSKV_SUCCESS)
+          << k;
+      ASSERT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);
+    }
+    ASSERT_EQ(papyruskv_barrier(db, PAPYRUSKV_MEMTABLE), PAPYRUSKV_SUCCESS);
+    // The peer's staged keys were applied here, at their owner.
+    for (const auto& k : KeysOwnedBy(shard, ctx.rank, 20)) {
+      std::string out;
+      ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS) << k;
+      EXPECT_EQ(out, "v:" + k + ":" + std::to_string(peer));
+    }
+    ctx.comm.Barrier();
+    fault::Registry::Instance().DisableAll();
+    EXPECT_GT(
+        fault::Registry::Instance().GetPoint("net.msg.drop").injected(), 0u);
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
+}
+
+TEST_F(NetFaultTest, RelaxedFenceCompletesWhenOwnerNeverAcks) {
+  // Rank 0 drops every runtime message it sends, so its staged puts can
+  // never migrate: the fence must still return after bounded retries,
+  // with the owner marked suspect and the give-up counted.
+  setenv("PAPYRUSKV_TIMEOUT_MS", "50", 1);
+  setenv("PAPYRUSKV_RETRY_MAX", "2", 1);
+  RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_RELAXED;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("reldeaddb", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    auto shard = papyrus::core::DbHandle(db);
+    ctx.comm.Barrier();
+
+    if (ctx.rank == 0) {
+      auto* rt = papyrus::core::KvRuntime::Current();
+      const uint64_t timeouts0 =
+          rt->metrics().GetCounter("net.req.timeouts").Value();
+      Arm("net.msg.drop=rank0:1.0");
+      for (const auto& k : KeysOwnedBy(shard, 1, 5)) {
+        ASSERT_EQ(PutStr(db, k, "lost"), PAPYRUSKV_SUCCESS) << k;
+      }
+      const uint64_t t0 = NowMicros();
+      EXPECT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);
+      // Bounded: 2 attempts x 50ms plus backoff, nowhere near a hang.
+      EXPECT_LT(NowMicros() - t0, 10'000'000u);
+      EXPECT_TRUE(rt->IsSuspect(1));
+      EXPECT_GT(rt->metrics().GetCounter("net.req.timeouts").Value(),
+                timeouts0);
+      fault::Registry::Instance().DisableAll();
+    }
+    ctx.comm.Barrier();
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
+}
+
 TEST_F(NetFaultTest, DuplicatedMessagesAreHarmless) {
   RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
     papyruskv_option_t opt;

@@ -180,9 +180,8 @@ TEST_F(ObsE2eTest, TraceEnvProducesChromeTrace) {
         const std::string& lane = args->Find("name")->str;
         // Lanes carry role names, not raw tid hashes.
         EXPECT_TRUE(lane == "app" || lane == "compaction" ||
-                    lane == "dispatcher" || lane == "handler" ||
-                    lane == "aux" || lane == "async" ||
-                    lane == "async_repl")
+                    lane == "handler" || lane == "aux" ||
+                    lane == "async" || lane == "async_repl")
             << lane;
         saw_named_thread = true;
       }

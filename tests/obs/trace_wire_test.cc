@@ -1,9 +1,8 @@
-// Wire-format compatibility for the optional trace-context header
-// (core/wire.h): payloads written without a context must stay
-// byte-identical to the pre-trace encoding (so old traces of bytes decode
-// unchanged), payloads with a context must round-trip it through all four
-// message kinds, and a truncated header must be rejected rather than
-// misparsed as a legacy body.
+// Wire format of the optional trace-context header (core/wire.h): payloads
+// written without a context must carry no header bytes at all (so untraced
+// traffic pays nothing for tracing), payloads with a context must
+// round-trip it through every frame kind, and a truncated header must be
+// rejected rather than misparsed as a frame body.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,38 +31,63 @@ std::vector<KvRecord> SampleRecords() {
   return records;
 }
 
-// Hand-built legacy GetReq body, exactly what the pre-trace encoder wrote.
-std::string LegacyGetReq(uint32_t dbid, uint32_t resp_tag,
-                         uint32_t caller_group, const std::string& key) {
+std::vector<GetMultiOp> SampleOps(const std::string& key) {
+  std::vector<GetMultiOp> ops(1);
+  ops[0].key = key;
+  ops[0].full_search = true;
+  return ops;
+}
+
+// Hand-built header-free GetMulti body with one full-search op.
+std::string NoContextGetMulti(uint32_t dbid, uint32_t resp_tag,
+                              uint32_t caller_group, const std::string& key) {
   std::string out;
+  out.push_back(static_cast<char>(kBatchVersion));
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutFixed32(&out, caller_group);
+  PutFixed32(&out, 1);
   PutLengthPrefixed(&out, key);
+  out.push_back(static_cast<char>(kGetFullSearch));
   return out;
 }
 
 TEST(TraceWireTest, NoContextEncodingIsLegacyByteIdentical) {
-  // Default (invalid) context: the encoder must add nothing.
-  const std::string wire = EncodeGetReq(7, 101, 2, "k1");
-  EXPECT_EQ(wire, LegacyGetReq(7, 101, 2, "k1"));
+  // Default (invalid) context: the encoder adds nothing ahead of the body.
+  const std::string wire = EncodePutBatch(7, 101, SampleRecords());
+  std::string body;
+  body.push_back(static_cast<char>(kBatchVersion));
+  PutFixed32(&body, 7);
+  PutFixed32(&body, 101);
+  PutFixed32(&body, 2);
+  PutLengthPrefixed(&body, "alpha");
+  PutLengthPrefixed(&body, "value-a");
+  body.push_back(0);
+  PutLengthPrefixed(&body, "beta");
+  PutLengthPrefixed(&body, "");
+  body.push_back(1);
+  EXPECT_EQ(wire, body);
   // An explicitly invalid context behaves the same.
   obs::TraceContext invalid;
-  EXPECT_EQ(EncodeGetReq(7, 101, 2, "k1", invalid), wire);
+  EXPECT_EQ(EncodePutBatch(7, 101, SampleRecords(), invalid), wire);
+  EXPECT_EQ(EncodeGetMulti(3, 200, 2, SampleOps("needle")),
+            NoContextGetMulti(3, 200, 2, "needle"));
 }
 
 TEST(TraceWireTest, LegacyPayloadDecodesWithInvalidContext) {
-  // Old writer → new reader: a legacy body decodes and reports no context.
-  const std::string wire = LegacyGetReq(3, 200, 0xffffffffu, "needle");
+  // A header-free body decodes and reports no context.
+  const std::string wire = NoContextGetMulti(3, 200, 0xffffffffu, "needle");
   uint32_t dbid = 0, resp_tag = 0, caller_group = 0;
-  std::string key;
+  std::vector<GetMultiOp> ops;
   obs::TraceContext ctx = MakeCtx();  // must be reset by the decoder
-  ASSERT_TRUE(DecodeGetReq(wire, &dbid, &resp_tag, &caller_group, &key,
-                           &ctx));
+  ASSERT_TRUE(DecodeGetMulti(wire, &dbid, &resp_tag, &caller_group, &ops,
+                             &ctx));
   EXPECT_EQ(dbid, 3u);
   EXPECT_EQ(resp_tag, 200u);
   EXPECT_EQ(caller_group, 0xffffffffu);
-  EXPECT_EQ(key, "needle");
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].key, "needle");
+  EXPECT_TRUE(ops[0].full_search);
   EXPECT_FALSE(ctx.valid());
 }
 
@@ -72,11 +96,11 @@ TEST(TraceWireTest, ContextRoundTripsThroughEveryMessageKind) {
 
   {
     const auto records = SampleRecords();
-    const std::string wire = EncodeMigrateChunk(4, 120, records, ctx);
+    const std::string wire = EncodePutBatch(4, 120, records, ctx);
     uint32_t dbid = 0, resp_tag = 0;
     std::vector<KvRecord> out;
     obs::TraceContext got;
-    ASSERT_TRUE(DecodeMigrateChunk(wire, &dbid, &resp_tag, &out, &got));
+    ASSERT_TRUE(DecodePutBatch(wire, &dbid, &resp_tag, &out, &got));
     EXPECT_EQ(dbid, 4u);
     EXPECT_EQ(resp_tag, 120u);
     ASSERT_EQ(out.size(), records.size());
@@ -88,59 +112,69 @@ TEST(TraceWireTest, ContextRoundTripsThroughEveryMessageKind) {
     EXPECT_EQ(got.span_id, ctx.span_id);
   }
   {
-    const std::string wire = EncodeGetReq(9, 130, 1, "key", ctx);
+    const std::string wire = EncodeGetMulti(9, 130, 1, SampleOps("key"), ctx);
     uint32_t dbid = 0, resp_tag = 0, caller_group = 0;
-    std::string key;
+    std::vector<GetMultiOp> ops;
     obs::TraceContext got;
     ASSERT_TRUE(
-        DecodeGetReq(wire, &dbid, &resp_tag, &caller_group, &key, &got));
-    EXPECT_EQ(key, "key");
+        DecodeGetMulti(wire, &dbid, &resp_tag, &caller_group, &ops, &got));
+    ASSERT_EQ(ops.size(), 1u);
+    EXPECT_EQ(ops[0].key, "key");
     EXPECT_EQ(got.trace_id, ctx.trace_id);
     EXPECT_EQ(got.span_id, ctx.span_id);
   }
   {
-    GetResp resp;
-    resp.found = true;
-    resp.same_group = true;
-    resp.latest_ssid = 42;
-    resp.ssids = {42, 41};
-    resp.value = "payload";
-    const std::string wire = EncodeGetResp(resp, ctx);
-    GetResp out;
+    GetMultiResult r;
+    r.resp.found = true;
+    r.resp.same_group = true;
+    r.resp.latest_ssid = 42;
+    r.resp.ssids = {42, 41};
+    r.resp.value = "payload";
+    const std::string wire = EncodeGetMultiResp({r}, ctx);
+    std::vector<GetMultiResult> out;
     obs::TraceContext got;
-    ASSERT_TRUE(DecodeGetResp(wire, &out, &got));
-    EXPECT_TRUE(out.found);
-    EXPECT_TRUE(out.same_group);
-    EXPECT_EQ(out.ssids, resp.ssids);
-    EXPECT_EQ(out.value, "payload");
+    ASSERT_TRUE(DecodeGetMultiResp(wire, &out, &got));
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_TRUE(out[0].resp.found);
+    EXPECT_TRUE(out[0].resp.same_group);
+    EXPECT_EQ(out[0].resp.ssids, r.resp.ssids);
+    EXPECT_EQ(out[0].resp.value, "payload");
     EXPECT_EQ(got.trace_id, ctx.trace_id);
     EXPECT_EQ(got.span_id, ctx.span_id);
   }
 }
 
 TEST(TraceWireTest, DecodersAcceptNullContextOut) {
-  // New payload, context-oblivious caller (the pre-trace call signature):
-  // the header is consumed and the body still decodes.
-  const std::string wire = EncodeGetReq(5, 140, 0, "k", MakeCtx());
+  // Traced payload, context-oblivious caller: the header is consumed and
+  // the body still decodes.
+  const std::string wire = EncodeGetMulti(5, 140, 0, SampleOps("k"), MakeCtx());
   uint32_t dbid = 0, resp_tag = 0, caller_group = 0;
-  std::string key;
-  ASSERT_TRUE(DecodeGetReq(wire, &dbid, &resp_tag, &caller_group, &key));
+  std::vector<GetMultiOp> ops;
+  ASSERT_TRUE(DecodeGetMulti(wire, &dbid, &resp_tag, &caller_group, &ops));
   EXPECT_EQ(dbid, 5u);
-  EXPECT_EQ(key, "k");
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].key, "k");
 }
 
 TEST(TraceWireTest, HeaderFirstByteCannotCollideWithLegacyBodies) {
-  // The magic's little-endian first byte is 0xff; legacy MigrateChunk and
-  // GetReq bodies start with a small dbid and GetResp with a 0/1 flag, so
-  // the sniff in GetTraceCtx is unambiguous.
-  const std::string with_ctx = EncodeGetReq(1, 100, 0, "k", MakeCtx());
-  EXPECT_EQ(static_cast<unsigned char>(with_ctx[0]), 0xffu);
-  const std::string legacy = EncodeGetReq(1, 100, 0, "k");
-  EXPECT_NE(static_cast<unsigned char>(legacy[0]), 0xffu);
+  // The magic's little-endian first byte is 0xff; every frame body starts
+  // with the batch version byte, so the sniff in GetTraceCtx is
+  // unambiguous.
+  for (const std::string& with_ctx :
+       {EncodePutBatch(1, 100, SampleRecords(), MakeCtx()),
+        EncodeGetMulti(1, 100, 0, SampleOps("k"), MakeCtx())}) {
+    EXPECT_EQ(static_cast<unsigned char>(with_ctx[0]), 0xffu);
+  }
+  for (const std::string& no_ctx :
+       {EncodePutBatch(1, 100, SampleRecords()),
+        EncodeGetMulti(1, 100, 0, SampleOps("k"))}) {
+    EXPECT_EQ(static_cast<unsigned char>(no_ctx[0]), kBatchVersion);
+  }
 }
 
 TEST(TraceWireTest, TruncatedTraceHeaderIsRejected) {
-  const std::string wire = EncodeGetReq(5, 150, 0, "key", MakeCtx());
+  const std::string wire =
+      EncodeGetMulti(5, 150, 0, SampleOps("key"), MakeCtx());
   // Any prefix that contains the magic but not the full header must fail
   // loudly instead of sliding the cursor into garbage.
   for (size_t len = 4; len < 21; ++len) {
@@ -153,7 +187,8 @@ TEST(TraceWireTest, TruncatedTraceHeaderIsRejected) {
 TEST(TraceWireTest, UnsampledContextEncodesNothing) {
   obs::TraceContext ctx = MakeCtx();
   ctx.sampled = false;
-  EXPECT_EQ(EncodeGetReq(2, 160, 0, "k", ctx), EncodeGetReq(2, 160, 0, "k"));
+  EXPECT_EQ(EncodePutBatch(2, 160, SampleRecords(), ctx),
+            EncodePutBatch(2, 160, SampleRecords()));
 }
 
 }  // namespace

@@ -10,9 +10,10 @@ enum WireOp : int {
   // analyze:allow-proto-handler: reserved for the next wire version;
   // mixed-version peers may already name it
   kOpReserved = 2,
+  kOpBatch = 3,  // sent only through an opcode variable (Node::Flush)
 };
 
-inline constexpr int kOpMax = kOpReserved;
+inline constexpr int kOpMax = kOpBatch;
 
 inline constexpr int kDynamicRespTagBase = 100;
 
@@ -20,6 +21,10 @@ struct Slice {};
 struct Message {
   int tag = 0;
   Slice payload;
+};
+struct Frame {
+  int op = 0;
+  int tag = 0;
 };
 
 class Comm {
@@ -55,10 +60,24 @@ class Node {
         // only; new code never sends it
         case kOpReserved:
           break;
+        case kOpBatch:
+          HandleApply(m);
+          break;
         default:
           break;
       }
     }
+  }
+
+  // The opcode travels in a variable; the model must still credit this
+  // function as kOpBatch's sender, or proto-handler turns this file red.
+  void Flush(int dst) {
+    Frame f;
+    f.op = kOpBatch;
+    f.tag = AllocRespTag();
+    req_comm_.Send(dst, f.op, Encoded(EncodeApply(0, f.tag, Slice())));
+    Message ack;
+    resp_comm_.RecvFor(dst, f.tag, 1000, &ack);
   }
 
   Message DrainLoopback(int tag) {

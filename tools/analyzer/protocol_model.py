@@ -8,10 +8,13 @@ code lines).  The model captures everything protocol_checks.py needs:
     declaration sites), plus kOpMax / kDynamicRespTagBase;
   * every send site, classified by channel (request / response / signal /
     other) from the receiver communicator name or the runtime helper used
-    (SendRequest / SendResponse / RequestReply), with the opcode tokens the
-    call carries and whether the site sits inside a retry loop;
+    (SendRequest / SendResponse / RequestReply / BeginRequest /
+    AwaitReply), with the opcode tokens the call carries — directly, or
+    assigned to the variable it passes as the opcode — and whether the
+    site sits inside a retry loop;
   * every receive site (Recv / RecvInternal / TryRecv / RecvFor /
-    RecvResponseFor / BarrierFor), with its boundedness;
+    BarrierFor, plus the reply waits of RequestReply / AwaitReply), with
+    its boundedness;
   * the KvRuntime-style handler dispatch switch (switch on a message tag
     with >= 2 opcode case arms), each arm's handler functions and the
     Decode<Frame> frames they consume;
@@ -67,6 +70,8 @@ _ALLOC_TAG_RE = re.compile(
     r"([\w.\->\[\]]+)\s*=\s*(?:[\w.\->]*\.|->)?\s*(?:\w+\s*\.\s*|\w+\s*->\s*)?"
     r"AllocRespTag\s*\(")
 _OP_TOKEN_RE = re.compile(r"\bkOp\w+\b")
+# `lhs = rhs;` (not ==, !=, <=, >=), for opcode-variable tracing.
+_ASSIGN_RE = re.compile(r"([\w.\->]+)\s*(?<![=!<>])=(?!=)([^;]*);")
 _TAG_TOKEN_RE = re.compile(r"\bkTag\w+\b")
 
 
@@ -257,9 +262,17 @@ def _balanced_args(text, open_idx):
 # Extraction passes.
 # ---------------------------------------------------------------------------
 
+# Runtime helpers that put a request on the wire: every one takes the
+# opcode as its second argument.
+REQUEST_HELPERS = ("SendRequest", "RequestReply", "BeginRequest",
+                   "AwaitReply")
+# Helpers that also wait (bounded) for the reply.
+REPLY_WAITERS = ("RequestReply", "AwaitReply")
+
+
 def _channel_of(name, recv):
     recv = recv or ""
-    if name in ("SendRequest", "RequestReply"):
+    if name in REQUEST_HELPERS:
         return "request"
     if name == "SendResponse":
         return "response"
@@ -283,31 +296,47 @@ def _scan_sends_recvs(proto, model):
         body_line = {i: ln for i, (ln, _) in enumerate(fn.body)}
         for m in re.finditer(
                 r"(?:\b([\w]+)\s*(?:\.|->)\s*)?"
-                r"\b(Send|SendRequest|SendResponse|RequestReply|Recv|"
-                r"RecvInternal|TryRecv|RecvFor|RecvResponseFor|RecvResponse)"
-                r"\s*\(", joined):
+                r"\b(Send|SendRequest|SendResponse|RequestReply|"
+                r"BeginRequest|AwaitReply|Recv|RecvInternal|TryRecv|RecvFor|"
+                r"RecvResponse)\s*\(", joined):
             recv_name, call = m.group(1), m.group(2)
             open_idx = m.end() - 1
             bidx = index[min(m.start(2), len(index) - 1)]
             line = body_line.get(bidx, fn.start_line)
             args = _balanced_args(joined, open_idx)
-            if call in ("Send", "SendRequest", "SendResponse",
-                        "RequestReply"):
+            if call in ("Send", "SendResponse") + REQUEST_HELPERS:
                 channel = _channel_of(call, recv_name)
                 if channel is None:
                     continue
-                ops = sorted(set(_OP_TOKEN_RE.findall(args)))
+                ops = set(_OP_TOKEN_RE.findall(args))
+                if not ops and channel == "request":
+                    ops = _assigned_ops(joined, _split_args(args))
                 proto.sends.append(SendSite(
-                    fn, line, channel, ops, _in_regions(bidx, regions),
-                    call))
-                # RequestReply also waits for the reply (bounded).
-                if call == "RequestReply":
+                    fn, line, channel, sorted(ops),
+                    _in_regions(bidx, regions), call))
+                if call in REPLY_WAITERS:
                     proto.recvs.append(RecvSite(fn, line, call, recv_name,
                                                 bounded=True))
             else:
-                bounded = call in ("TryRecv", "RecvFor", "RecvResponseFor")
+                bounded = call in ("TryRecv", "RecvFor")
                 proto.recvs.append(RecvSite(fn, line, call, recv_name,
                                             bounded))
+
+
+def _assigned_ops(joined, parts):
+    """Opcode tokens a function assigns to the variable a send passes as
+    its opcode (second argument), matched on the last path component so
+    `f.op = kOpX;` feeds `Send(dst, f.op, ...)`."""
+    if len(parts) < 2:
+        return set()
+    var = re.split(r"\.|->", parts[1].strip())[-1]
+    if not re.fullmatch(r"\w+", var):
+        return set()
+    ops = set()
+    for m in _ASSIGN_RE.finditer(joined):
+        if re.split(r"\.|->", m.group(1))[-1] == var:
+            ops.update(_OP_TOKEN_RE.findall(m.group(2)))
+    return ops
 
 
 def _scan_handler(proto, model):
@@ -591,7 +620,7 @@ def render_markdown(spec):
             for s in info["senders"]:
                 w("- `%s`" % s)
         else:
-            w("Senders: none in-tree (legacy / mixed-version only).")
+            w("Senders: none in-tree.")
         w("")
         h = info["handler"]
         if h:
@@ -623,7 +652,7 @@ def render_markdown(spec):
     w("## Flow")
     w("")
     w("```")
-    w("app/dispatcher/pipeline          owner rank")
+    w("app/pipeline                     owner rank")
     w("        |  req_comm tag=kOp*        |")
     w("        |-------------------------->| HandlerLoop switch(tag)")
     w("        |                           |   -> Handle* -> Decode*")
