@@ -14,7 +14,7 @@ namespace papyrus::async {
 
 using core::GetMultiOp;
 using core::GetMultiResult;
-using core::KvRecord;
+using core::KvView;
 
 // ---------------------------------------------------------------------------
 // OpState
@@ -395,7 +395,6 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work,
     uint32_t dbid = 0;
     int tag = 0;
     size_t records = 0;  // put/migration frames: ops the ack must cover
-    std::vector<KvRecord> chunk;  // a migration frame's records
     std::string payload;
     std::vector<Submission> ops;  // a migration frame: its one kMigrate
     std::unique_ptr<obs::OpSpan> rpc;  // open until the frame is acked
@@ -419,15 +418,12 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work,
     f.rpc->MarkFlowOut();
     return f;
   };
+  // Views of the frame's submissions, which outlive the encode below.
   auto to_records = [](const std::vector<Submission>& ops) {
-    std::vector<KvRecord> records;
+    std::vector<KvView> records;
     records.reserve(ops.size());
     for (const Submission& s : ops) {
-      KvRecord r;
-      r.key = s.key;
-      r.value = s.value;
-      r.tombstone = s.tombstone;
-      records.push_back(std::move(r));
+      records.push_back(KvView{s.key, s.value, s.tombstone});
     }
     return records;
   };
@@ -448,9 +444,8 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work,
         Frame f = new_frame(owner, Kind::kMigrate, s.dbid);
         f.op = core::kOpPutBatch;
         f.records = records.size();
-        f.chunk = std::move(records);
         f.payload = EncodePutBatch(f.dbid, static_cast<uint32_t>(f.tag),
-                                   f.chunk, f.rpc->context());
+                                   records, f.rpc->context());
         f.ops.push_back(s);
         chains[owner].push_back(std::move(f));
       }
@@ -482,7 +477,7 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work,
       const auto tag = static_cast<uint32_t>(f.tag);
       if (f.kind == Kind::kPut) {
         f.op = core::kOpPutBatch;
-        const std::vector<KvRecord> records = to_records(f.ops);
+        const std::vector<KvView> records = to_records(f.ops);
         h_put_batch_->Record(static_cast<uint64_t>(records.size()));
         f.records = records.size();
         f.payload = EncodePutBatch(f.dbid, tag, records, f.rpc->context());
@@ -507,7 +502,7 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work,
         meta.first_seq = f.ops.front().repl_seq;
         meta.flushed_through = f.ops.back().repl_flushed;
         meta.reset = f.ops.front().repl_reset;
-        const std::vector<KvRecord> records = to_records(f.ops);
+        const std::vector<KvView> records = to_records(f.ops);
         h_repl_batch_->Record(static_cast<uint64_t>(records.size()));
         f.payload = core::EncodeReplAppend(f.dbid, tag, meta, records,
                                            f.rpc->context());

@@ -877,10 +877,10 @@ bool DbShard::TryReplicaRead(const Slice& key, int owner, std::string* value,
 // Handler-side entry points
 // ---------------------------------------------------------------------------
 
-std::vector<int32_t> DbShard::ApplyBatch(const std::vector<KvRecord>& records) {
+std::vector<int32_t> DbShard::ApplyBatch(const std::vector<KvView>& records) {
   std::vector<int32_t> statuses;
   statuses.reserve(records.size());
-  for (const KvRecord& r : records) {
+  for (const KvView& r : records) {
     // A failed op does not abort the batch: every record gets its own
     // status, so the submitter can surface exactly which ops of a
     // partially failed batch went wrong.
@@ -1019,15 +1019,11 @@ Status DbShard::FlushImmutable(const store::MemTablePtr& mem) {
   return s;
 }
 
-std::map<int, std::vector<KvRecord>> DbShard::CollectOwnerChunks(
+std::map<int, std::vector<KvView>> DbShard::CollectOwnerChunks(
     const store::MemTable& mem) const {
-  std::map<int, std::vector<KvRecord>> chunks;
+  std::map<int, std::vector<KvView>> chunks;
   mem.ForEachSorted([&](const Slice& key, const store::MemTable::Entry& e) {
-    KvRecord r;
-    r.key = key.ToString();
-    r.value = e.value;
-    r.tombstone = e.tombstone;
-    chunks[e.owner].push_back(std::move(r));
+    chunks[e.owner].push_back(KvView{key, e.value, e.tombstone});
   });
   return chunks;
 }

@@ -134,7 +134,7 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // per record in order (the per-op statuses of the batched ack).  The
   // batch.op.fail failpoint injects per-op failures here for partial-batch
   // testing.
-  std::vector<int32_t> ApplyBatch(const std::vector<KvRecord>& records);
+  std::vector<int32_t> ApplyBatch(const std::vector<KvView>& records);
   // Serves a remote get request (§2.6–2.7).
   GetResp HandleRemoteGet(const Slice& key, uint32_t caller_group);
 
@@ -147,8 +147,10 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // ---- Migration entry points (the async pipeline's ops lane) ----
   // Sorts a sealed remote MemTable's records per owner rank (§2.4: "it
   // sorts the key-value pairs in the MemTable by the owner rank number ...
-  // accumulates the key-value pairs per rank").
-  std::map<int, std::vector<KvRecord>> CollectOwnerChunks(
+  // accumulates the key-value pairs per rank").  The records view `mem`'s
+  // entries: a sealed table never changes, and the migration holds it until
+  // MigrationFinished.
+  std::map<int, std::vector<KvView>> CollectOwnerChunks(
       const store::MemTable& mem) const;
   // Every owner acked (or was given up on): drops `mem` from imm_remote_.
   void MigrationFinished(const store::MemTablePtr& mem);

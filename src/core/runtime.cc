@@ -440,7 +440,7 @@ void KvRuntime::HandlerLoop() {
 
 void KvRuntime::HandlePutBatch(const net::Message& m) {
   uint32_t dbid = 0, resp_tag = 0;
-  std::vector<KvRecord> records;
+  std::vector<KvView> records;  // views into m.payload
   obs::TraceContext ctx;
   if (!DecodePutBatch(m.payload, &dbid, &resp_tag, &records, &ctx)) {
     PLOG_ERROR << "handler: malformed put batch from rank " << m.src;
@@ -509,7 +509,7 @@ void KvRuntime::HandleGetMulti(const net::Message& m) {
 void KvRuntime::HandleReplAppend(const net::Message& m) {
   uint32_t dbid = 0, resp_tag = 0;
   ReplAppendMeta meta;
-  std::vector<KvRecord> records;
+  std::vector<KvView> records;  // views into m.payload
   obs::TraceContext ctx;
   if (!DecodeReplAppend(m.payload, &dbid, &resp_tag, &meta, &records, &ctx)) {
     PLOG_ERROR << "handler: malformed repl append from rank " << m.src;

@@ -90,52 +90,58 @@ bool GetBatchVersion(Slice* in) {
   in->remove_prefix(1);
   return true;
 }
+
+// count × ([lp key][lp value][u8 tomb]), shared by PutBatch and ReplAppend.
+void PutRecords(std::string* out, const std::vector<KvView>& records) {
+  PutFixed32(out, static_cast<uint32_t>(records.size()));
+  for (const KvView& r : records) {
+    PutLengthPrefixed(out, r.key);
+    PutLengthPrefixed(out, r.value);
+    out->push_back(r.tombstone ? 1 : 0);
+  }
+}
+
+// Decodes the record list into views over *in's bytes and requires it to
+// end the payload.
+bool GetRecords(Slice* in, std::vector<KvView>* records) {
+  uint32_t count = 0;
+  if (!GetFixed32(in, &count)) return false;
+  records->clear();
+  records->reserve(ReserveBound(count, *in, 3));
+  for (uint32_t i = 0; i < count; ++i) {
+    KvView r;
+    if (!GetLengthPrefixed(in, &r.key) || !GetLengthPrefixed(in, &r.value) ||
+        in->empty()) {
+      return false;
+    }
+    r.tombstone = (*in)[0] != 0;
+    in->remove_prefix(1);
+    records->push_back(r);
+  }
+  return in->empty();
+}
 }  // namespace
 
 std::string EncodePutBatch(uint32_t dbid, uint32_t resp_tag,
-                           const std::vector<KvRecord>& records,
+                           const std::vector<KvView>& records,
                            const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
   out.push_back(static_cast<char>(kBatchVersion));
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
-  PutFixed32(&out, static_cast<uint32_t>(records.size()));
-  for (const KvRecord& r : records) {
-    PutLengthPrefixed(&out, r.key);
-    PutLengthPrefixed(&out, r.value);
-    out.push_back(r.tombstone ? 1 : 0);
-  }
+  PutRecords(&out, records);
   return out;
 }
 
 bool DecodePutBatch(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
-                    std::vector<KvRecord>* records,
+                    std::vector<KvView>* records,
                     obs::TraceContext* trace_ctx) {
   Slice in = payload;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
   if (!GetBatchVersion(&in)) return false;
-  uint32_t count = 0;
-  if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
-      !GetFixed32(&in, &count)) {
-    return false;
-  }
-  records->clear();
-  records->reserve(ReserveBound(count, in, 3));
-  for (uint32_t i = 0; i < count; ++i) {
-    Slice key, value;
-    if (!GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value) ||
-        in.empty()) {
-      return false;
-    }
-    KvRecord r;
-    r.key = key.ToString();
-    r.value = value.ToString();
-    r.tombstone = in[0] != 0;
-    in.remove_prefix(1);
-    records->push_back(std::move(r));
-  }
-  return in.empty();
+  if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag)) return false;
+  return GetRecords(&in, records);
 }
 
 std::string EncodePutBatchAck(const std::vector<int32_t>& statuses,
@@ -248,7 +254,7 @@ bool DecodeGetMultiResp(const Slice& payload,
 
 std::string EncodeReplAppend(uint32_t dbid, uint32_t resp_tag,
                              const ReplAppendMeta& meta,
-                             const std::vector<KvRecord>& records,
+                             const std::vector<KvView>& records,
                              const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
@@ -260,18 +266,13 @@ std::string EncodeReplAppend(uint32_t dbid, uint32_t resp_tag,
   PutFixed64(&out, meta.first_seq);
   PutFixed64(&out, meta.flushed_through);
   out.push_back(meta.reset ? 1 : 0);
-  PutFixed32(&out, static_cast<uint32_t>(records.size()));
-  for (const KvRecord& r : records) {
-    PutLengthPrefixed(&out, r.key);
-    PutLengthPrefixed(&out, r.value);
-    out.push_back(r.tombstone ? 1 : 0);
-  }
+  PutRecords(&out, records);
   return out;
 }
 
 bool DecodeReplAppend(const Slice& payload, uint32_t* dbid,
                       uint32_t* resp_tag, ReplAppendMeta* meta,
-                      std::vector<KvRecord>* records,
+                      std::vector<KvView>* records,
                       obs::TraceContext* trace_ctx) {
   Slice in = payload;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
@@ -284,24 +285,7 @@ bool DecodeReplAppend(const Slice& payload, uint32_t* dbid,
   }
   meta->reset = in[0] != 0;
   in.remove_prefix(1);
-  uint32_t count = 0;
-  if (!GetFixed32(&in, &count)) return false;
-  records->clear();
-  records->reserve(ReserveBound(count, in, 3));
-  for (uint32_t i = 0; i < count; ++i) {
-    Slice key, value;
-    if (!GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value) ||
-        in.empty()) {
-      return false;
-    }
-    KvRecord r;
-    r.key = key.ToString();
-    r.value = value.ToString();
-    r.tombstone = in[0] != 0;
-    in.remove_prefix(1);
-    records->push_back(std::move(r));
-  }
-  return in.empty();
+  return GetRecords(&in, records);
 }
 
 std::string EncodeReplAppendAck(uint64_t epoch, uint64_t acked_seq, bool ok,

@@ -98,6 +98,17 @@ struct KvRecord {
   bool tombstone = false;
 };
 
+// A record whose key and value point into storage someone else keeps alive
+// — a sealed MemTable, a Submission, a received payload.  The batch codecs
+// encode from and decode into views, so a record is copied into the wire
+// frame and out of it only where it is stored, never into an intermediate
+// KvRecord.
+struct KvView {
+  Slice key;
+  Slice value;
+  bool tombstone = false;
+};
+
 // ---- GetResp ---------------------------------------------------------------
 // [u8 found][u8 tombstone][u8 same_group][u64 latest_ssid]
 // [u32 nssids][u64 ...][lp value]
@@ -130,11 +141,13 @@ inline constexpr uint8_t kBatchVersion = 1;
 // ---- PutBatch --------------------------------------------------------------
 // [trace hdr?][u8 ver][u32 dbid][u32 resp_tag][u32 count]
 //   count × ([lp key][lp value][u8 tomb])
+//
+// Decoded records view `payload`, which must outlive them.
 std::string EncodePutBatch(uint32_t dbid, uint32_t resp_tag,
-                           const std::vector<KvRecord>& records,
+                           const std::vector<KvView>& records,
                            const obs::TraceContext& trace_ctx = {});
 bool DecodePutBatch(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
-                    std::vector<KvRecord>* records,
+                    std::vector<KvView>* records,
                     obs::TraceContext* trace_ctx = nullptr);
 
 // ---- PutBatchAck -----------------------------------------------------------
@@ -202,13 +215,14 @@ struct ReplAppendMeta {
   uint64_t flushed_through = 0;
   bool reset = false;
 };
+// Decoded records view `payload`, as in PutBatch.
 std::string EncodeReplAppend(uint32_t dbid, uint32_t resp_tag,
                              const ReplAppendMeta& meta,
-                             const std::vector<KvRecord>& records,
+                             const std::vector<KvView>& records,
                              const obs::TraceContext& trace_ctx = {});
 bool DecodeReplAppend(const Slice& payload, uint32_t* dbid,
                       uint32_t* resp_tag, ReplAppendMeta* meta,
-                      std::vector<KvRecord>* records,
+                      std::vector<KvView>* records,
                       obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplAppendAck ---------------------------------------------------------

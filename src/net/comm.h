@@ -20,8 +20,17 @@
 // message timing reflects the modelled fabric.  All operations are
 // thread-safe: a rank's main thread, pipeline lanes, and handler may use their
 // communicators concurrently (MPI_THREAD_MULTIPLE).
+//
+// Receives progress the way an MPI library's do: a receiver with nothing to
+// match first busy-polls for a bounded spin (kSpinBudgetUs) and only then
+// parks on a condvar — Open MPI's yield-when-idle split, decided per job.
+// The spin runs only when every rank's app thread and handler can have a
+// core of their own (World::busy_poll), only on a mailbox that saw a
+// delivery recently, and never while the awaited match is a delayed
+// in-flight message (DESIGN.md §14).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -54,10 +63,30 @@ struct Message {
   uint64_t delivered_at_us = 0;
 };
 
+// How long a receiver with no visible match polls for a delivery before it
+// parks.  About three remote-get round trips: long enough that a
+// request/reply exchange never sleeps, short enough that an idle waiter
+// gives its core back at once.
+inline constexpr uint64_t kSpinBudgetUs = 50;
+// A mailbox with no delivery for this long is cold: its receivers park at
+// once (init/open, idle handlers) instead of burning a spin budget.
+inline constexpr uint64_t kColdAfterUs = 4 * kSpinBudgetUs;
+
 // One rank's receive queue on one communicator.  FIFO per (src, tag);
 // receives take the earliest matching *visible* message.
+//
+// Waiting: a receiver that finds no visible match spins first, then parks.
+// The spin drops mu_ and polls deliveries_, which Deliver bumps under mu_
+// (yielding the CPU every few polls, in case the sender shares it), until
+// it moves or the budget (or RecvFor's deadline) runs out; the
+// receiver then re-locks and re-scans, and parks on cv_ exactly as it would
+// without a spin.  No spin when busy_poll is off (World's fit rule), when
+// the mailbox is cold, or when the first match is still in flight
+// (visible_at_us in the future: that wait stays a timed condvar wait).
 class Mailbox {
  public:
+  explicit Mailbox(bool busy_poll) : busy_poll_(busy_poll) {}
+
   void Deliver(Message msg);
   // Blocks until a message matching (src, tag) is available and visible.
   Message Recv(int src, int tag);
@@ -73,11 +102,28 @@ class Mailbox {
     return (src == kAnySource || m.src == src) &&
            (tag == kAnyTag || m.tag == tag);
   }
+  // Takes the first visible match into *out.  Otherwise returns false and
+  // sets *next_visible to the earliest in-flight match's visible_at_us
+  // (UINT64_MAX if none).
+  bool TakeMatch(int src, int tag, uint64_t now, Message* out,
+                 uint64_t* next_visible) REQUIRES(mu_);
+  // One wait step for a receiver that found no visible match at `now`:
+  // spins until a delivery or *spin_until (one budget per receive, opened
+  // by the first call), else parks until `deadline` (UINT64_MAX = none),
+  // the in-flight match turning visible, or a Deliver.
+  void Wait(uint64_t now, uint64_t next_visible, uint64_t deadline,
+            uint64_t* spin_until) REQUIRES(mu_);
+
+  const bool busy_poll_;
   // Leaf lock: guards one mailbox's queue; Deliver/Recv never take another
   // lock while holding it.
   Mutex mu_{"mailbox_mu"};
   CondVar cv_;
   std::deque<Message> queue_ GUARDED_BY(mu_);
+  // Bumped by Deliver under mu_; spinners poll it without the lock.
+  std::atomic<uint64_t> deliveries_{0};
+  // NowMicros() of the latest Deliver: the cold-mailbox rule reads it.
+  std::atomic<uint64_t> last_delivery_us_{0};
 };
 
 class World;
@@ -131,8 +177,14 @@ class Communicator {
 
  private:
   friend class World;
-  Communicator(World* world, uint64_t comm_id, int rank)
-      : world_(world), comm_id_(comm_id), rank_(rank) {}
+  Communicator(World* world, uint64_t comm_id, int rank);
+
+  // This rank's or a peer's mailbox on this communicator; channel 0 = user,
+  // 1 = collectives.
+  Mailbox& box(int rank, int channel) const {
+    return *(*boxes_)[static_cast<size_t>(rank) * 2 +
+                      static_cast<size_t>(channel)];
+  }
 
   void SendInternal(int dst, int tag, const Slice& payload) const;
   Message RecvInternal(int src, int tag) const;
@@ -142,6 +194,9 @@ class Communicator {
   World* world_ = nullptr;
   uint64_t comm_id_ = 0;
   int rank_ = 0;
+  // The communicator's mailboxes, resolved once at construction: they never
+  // move or go away while the World lives, so Send/Recv skip world_mu.
+  const std::vector<std::unique_ptr<Mailbox>>* boxes_ = nullptr;
   // Per-rank count of Dup() calls on this communicator: SPMD programs call
   // collectives in the same order everywhere, so this sequence number is
   // identical across ranks and names the derived communicator uniquely.
@@ -157,6 +212,12 @@ class World {
   const sim::Topology& topology() const { return topo_; }
   sim::Interconnect& interconnect() { return net_; }
   int size() const { return topo_.nranks; }
+  // Whether this job's receivers spin before they park (the fit rule):
+  // true when 2 × nranks — each rank's app thread and handler may both be
+  // waiting — is at most the CPUs this process may run on.  Decided once
+  // here; an oversubscribed job parks at once, as a yield-when-idle MPI
+  // would.
+  bool busy_poll() const { return busy_poll_; }
 
   // The primordial communicator (MPI_COMM_WORLD analogue) for `rank`.
   Communicator world_comm(int rank);
@@ -164,13 +225,16 @@ class World {
  private:
   friend class Communicator;
 
-  // Mailbox for (comm, rank), channel 0 = user, 1 = collectives.
-  Mailbox& mailbox(uint64_t comm_id, int rank, int channel);
+  // The mailboxes of communicator comm_id, two per rank (channel 0 = user,
+  // 1 = collectives), created on first use.  The vector is never resized
+  // afterwards, so the returned pointer stays valid for the World's life.
+  const std::vector<std::unique_ptr<Mailbox>>* mailboxes(uint64_t comm_id);
   // Registers/looks up the communicator derived from (parent, seq).
   uint64_t DerivedComm(uint64_t parent, uint64_t seq);
 
   sim::Topology topo_;
   sim::Interconnect net_;
+  const bool busy_poll_;
 
   // Guards the registries below; the Mailbox objects themselves are stable
   // once created (unique_ptr), so a returned reference outlives the lock.

@@ -105,6 +105,15 @@ void Snapshot::Merge(const Snapshot& other) {
   for (const auto& [name, h] : other.histograms) histograms[name].Merge(h);
 }
 
+namespace {
+std::atomic<uint64_t> next_registry_id{1};
+}  // namespace
+
+Registry::Registry()
+    : id_(next_registry_id.fetch_add(1, std::memory_order_relaxed)) {
+  TickClock::ToMicros(0);
+}
+
 Counter& Registry::GetCounter(std::string_view name) {
   MutexLock lock(&mu_);
   auto it = counters_.find(name);

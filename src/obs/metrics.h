@@ -201,9 +201,14 @@ class Registry {
  public:
   // Touching the tick clock here front-loads its one-time calibration so
   // the first measured operation does not pay it.
-  Registry() { TickClock::ToMicros(0); }
+  Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
+
+  // Unique per registry for the life of the process, unlike its address
+  // (a rank's registry dies at finalize and the next init may reuse the
+  // slot).  Caches of resolved metric pointers keyed by registry use it.
+  uint64_t id() const { return id_; }
 
   // Finds or creates; the returned reference stays valid for the life of
   // the registry.  Lock is taken only here, never on metric updates —
@@ -222,6 +227,7 @@ class Registry {
   static Registry& Process();
 
  private:
+  const uint64_t id_;
   // Leaf lock: guards only the name→metric maps (metric *values* are
   // lock-free atomics); held for map lookup/insert, never while calling out.
   mutable Mutex mu_{"obs_registry_mu"};

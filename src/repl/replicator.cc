@@ -288,7 +288,7 @@ bool Replicator::Degraded() const {
 
 Replicator::ApplyResult Replicator::ApplyReplAppend(
     const core::ReplAppendMeta& meta,
-    const std::vector<core::KvRecord>& records) {
+    const std::vector<core::KvView>& records) {
   MutexLock lock(&shadow_mu_);
   ShadowState& s = shadows_[static_cast<int>(meta.primary)];
   if (meta.reset) {
@@ -312,11 +312,13 @@ Replicator::ApplyResult Replicator::ApplyReplAppend(
     return r;
   }
   uint64_t seq = meta.first_seq;
-  for (const core::KvRecord& rec : records) {
+  for (const core::KvView& rec : records) {
     if (seq >= s.next_seq) {  // else: duplicate prefix from a frame retry
       s.shadow->Put(rec.key, rec.value, rec.tombstone,
                     static_cast<int>(meta.primary));
-      s.log.emplace_back(seq, rec);
+      s.log.emplace_back(seq, core::KvRecord{rec.key.ToString(),
+                                             rec.value.ToString(),
+                                             rec.tombstone});
       s.next_seq = seq + 1;
       c_shadow_applies_->Inc();
     }

@@ -117,7 +117,7 @@ class Replicator {
     uint64_t acked_seq = 0;   // applied high-water mark
   };
   ApplyResult ApplyReplAppend(const core::ReplAppendMeta& meta,
-                              const std::vector<core::KvRecord>& records);
+                              const std::vector<core::KvView>& records);
 
   // Election probe: shadow progress for `primary`'s stream.
   void QueryShadow(int primary, uint64_t* epoch, uint64_t* last_seq,

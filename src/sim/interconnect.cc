@@ -39,11 +39,24 @@ uint64_t Interconnect::Charge(int src, int dst, uint64_t bytes) {
   messages_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(bytes, std::memory_order_relaxed);
   // Charge runs on the sending rank's thread, so these land in the sender's
-  // per-rank registry.
+  // per-rank registry.  Each thread resolves the two counters once per
+  // registry, keyed by Registry::id(): a registry address can come back
+  // (finalize, then init) holding different counters.
   {
+    struct NetCounters {
+      uint64_t registry_id = 0;
+      obs::Counter* messages = nullptr;
+      obs::Counter* bytes = nullptr;
+    };
+    thread_local NetCounters cached;
     obs::Registry& reg = obs::Current();
-    reg.GetCounter("sim.net.messages").Inc();
-    reg.GetCounter("sim.net.bytes").Inc(bytes);
+    if (cached.registry_id != reg.id()) {
+      cached.messages = &reg.GetCounter("sim.net.messages");
+      cached.bytes = &reg.GetCounter("sim.net.bytes");
+      cached.registry_id = reg.id();
+    }
+    cached.messages->Inc();
+    cached.bytes->Inc(bytes);
   }
 
   // net.msg.delay adds propagation delay even at TimeScale 0, so delay

@@ -23,15 +23,10 @@ obs::TraceContext MakeCtx() {
   return ctx;
 }
 
-std::vector<KvRecord> SampleRecords() {
-  std::vector<KvRecord> records(3);
-  records[0].key = "alpha";
-  records[0].value = "value-a";
-  records[1].key = "beta";
-  records[1].value = "value-b";
-  records[2].key = "gone";
-  records[2].tombstone = true;
-  return records;
+// Views of string literals, which outlive every use.
+std::vector<KvView> SampleRecords() {
+  return {KvView{"alpha", "value-a", false}, KvView{"beta", "value-b", false},
+          KvView{"gone", "", true}};
 }
 
 // ---- Byte-for-byte pins ----------------------------------------------------
@@ -39,13 +34,13 @@ std::vector<KvRecord> SampleRecords() {
 // these pins break, the wire format changed: bump kBatchVersion instead.
 
 std::string PinnedPutBatch(uint32_t dbid, uint32_t resp_tag,
-                           const std::vector<KvRecord>& records) {
+                           const std::vector<KvView>& records) {
   std::string out;
   out.push_back(1);  // kBatchVersion
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutFixed32(&out, static_cast<uint32_t>(records.size()));
-  for (const KvRecord& r : records) {
+  for (const KvView& r : records) {
     PutLengthPrefixed(&out, r.key);
     PutLengthPrefixed(&out, r.value);
     out.push_back(r.tombstone ? 1 : 0);
@@ -127,7 +122,7 @@ TEST(BatchWireTest, PutBatchRoundTripsWithAndWithoutContext) {
         with_ctx ? EncodePutBatch(7, 120, records, MakeCtx())
                  : EncodePutBatch(7, 120, records);
     uint32_t dbid = 0, resp_tag = 0;
-    std::vector<KvRecord> out;
+    std::vector<KvView> out;
     obs::TraceContext got = MakeCtx();  // must be reset on the no-ctx path
     ASSERT_TRUE(DecodePutBatch(wire, &dbid, &resp_tag, &out, &got));
     EXPECT_EQ(dbid, 7u);
@@ -185,7 +180,7 @@ TEST(BatchWireTest, AckAndGetMultiRoundTrip) {
 
 TEST(BatchWireTest, EmptyBatchesRoundTrip) {
   uint32_t dbid = 0, resp_tag = 0;
-  std::vector<KvRecord> records;
+  std::vector<KvView> records;
   ASSERT_TRUE(
       DecodePutBatch(EncodePutBatch(1, 100, {}), &dbid, &resp_tag, &records));
   EXPECT_TRUE(records.empty());
@@ -203,7 +198,7 @@ TEST(BatchWireTest, TruncationAtEveryLengthIsRejected) {
   const std::string wire = EncodePutBatch(7, 120, SampleRecords(), MakeCtx());
   for (size_t len = 0; len < wire.size(); ++len) {
     uint32_t dbid = 0, resp_tag = 0;
-    std::vector<KvRecord> records;
+    std::vector<KvView> records;
     EXPECT_FALSE(DecodePutBatch(Slice(wire.data(), len), &dbid, &resp_tag,
                                 &records))
         << "prefix length " << len;
@@ -221,7 +216,7 @@ TEST(BatchWireTest, UnknownVersionIsRejected) {
   std::string wire = EncodePutBatch(7, 120, SampleRecords());
   wire[0] = 2;  // a future version this decoder does not know
   uint32_t dbid = 0, resp_tag = 0;
-  std::vector<KvRecord> records;
+  std::vector<KvView> records;
   EXPECT_FALSE(DecodePutBatch(wire, &dbid, &resp_tag, &records));
   std::string ack = EncodePutBatchAck({PAPYRUSKV_SUCCESS});
   ack[0] = 0;
@@ -233,7 +228,7 @@ TEST(BatchWireTest, TrailingGarbageIsRejected) {
   std::string wire = EncodePutBatch(7, 120, SampleRecords());
   wire += "x";
   uint32_t dbid = 0, resp_tag = 0;
-  std::vector<KvRecord> records;
+  std::vector<KvView> records;
   EXPECT_FALSE(DecodePutBatch(wire, &dbid, &resp_tag, &records));
 }
 
@@ -258,7 +253,7 @@ TEST(BatchWireTest, RandomBytesNeverCrashTheDecoders) {
     // after the version check also see fuzzed input.
     if (round % 2 == 0) noise.insert(noise.begin(), 1);
     uint32_t a = 0, b = 0, c = 0;
-    std::vector<KvRecord> records;
+    std::vector<KvView> records;
     std::vector<int32_t> statuses;
     std::vector<GetMultiOp> ops;
     std::vector<GetMultiResult> results;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "common/timer.h"
 #include "net/runtime.h"
@@ -245,6 +249,118 @@ TEST(CommTest, TryRecvSkipsInFlightMessages) {
     }
   });
   sim::SetTimeScale(0.0);
+}
+
+// ---- Spin-then-park receives ----------------------------------------------
+// These drive one Mailbox directly with busy polling on, so they cover the
+// spin whatever the host's CPU count (World's fit rule may switch it off).
+
+// A delivery (and its matching receive) so the mailbox counts as warm: a
+// cold mailbox parks at once and would not exercise the spin.
+void Warm(Mailbox* box) {
+  box->Deliver(Message{0, 1, "warm"});
+  Message m;
+  ASSERT_TRUE(box->TryRecv(0, 1, &m));
+}
+
+// A helper thread that runs deliver(round) each time Trigger() wakes it.
+// The caller triggers and then receives at once, so the delivery lands a
+// thread wake-up into the receive, inside its spin.  The helper blocks
+// between rounds instead of spinning: a spinning helper would share the
+// receiver's CPU (a new thread starts on its creator's CPU), and the test
+// would measure the scheduler rather than the spin.
+class Deliverer {
+ public:
+  explicit Deliverer(std::function<void(int)> deliver)
+      : thread_([this, deliver = std::move(deliver)] {
+          for (int done = 0;; ++done) {
+            round_.wait(done, std::memory_order_acquire);
+            if (stop_.load(std::memory_order_acquire)) return;
+            deliver(done);
+          }
+        }) {}
+  ~Deliverer() {
+    stop_.store(true, std::memory_order_release);
+    Trigger();
+    thread_.join();
+  }
+  void Trigger() {
+    round_.fetch_add(1, std::memory_order_release);
+    round_.notify_one();
+  }
+
+ private:
+  std::atomic<int> round_{0};
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+TEST(CommTest, SpinningReceiverGetsMessageDeliveredDuringSpin) {
+  Mailbox box(/*busy_poll=*/true);
+  Deliverer sender(
+      [&box](int i) { box.Deliver(Message{1, 7, std::to_string(i)}); });
+  // A spin that notices the delivery returns with it; one that ran out its
+  // budget first could not return before kSpinBudgetUs.  One fast try is
+  // enough to tell them apart, so a slow wake-up, a preempted try or a
+  // sanitizer build cannot fail the test.
+  uint64_t fastest = UINT64_MAX;
+  for (int i = 0; i < 21; ++i) {
+    Warm(&box);
+    const uint64_t t0 = NowMicros();
+    sender.Trigger();
+    Message m = box.Recv(1, 7);
+    fastest = std::min(fastest, NowMicros() - t0);
+    EXPECT_EQ(m.payload, std::to_string(i));
+  }
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "one CPU: the sender cannot run beside a spinner";
+  }
+  EXPECT_LT(fastest, kSpinBudgetUs);
+}
+
+TEST(CommTest, ShortRecvForTimesOutWithoutSpendingTheSpinBudget) {
+  Mailbox box(/*busy_poll=*/true);
+  // The fastest of several tries: one try may be preempted, but a receive
+  // that spun past its 5 µs deadline would take the whole budget every time.
+  uint64_t fastest = UINT64_MAX;
+  for (int i = 0; i < 20; ++i) {
+    Warm(&box);
+    Message m;
+    const uint64_t t0 = NowMicros();
+    EXPECT_FALSE(box.RecvFor(0, 7, /*timeout_us=*/5, &m));
+    fastest = std::min(fastest, NowMicros() - t0);
+  }
+  EXPECT_LT(fastest, kSpinBudgetUs);
+}
+
+TEST(CommTest, SpinningReceiverWaitsForDelayedMessageToTurnVisible) {
+  Mailbox box(/*busy_poll=*/true);
+  constexpr uint64_t kDelayUs = 3000;
+  std::atomic<uint64_t> visible_at{0};
+  Deliverer sender([&box, &visible_at](int) {
+    const uint64_t at = NowMicros() + kDelayUs;
+    visible_at.store(at, std::memory_order_release);
+    box.Deliver(Message{1, 7, "late", at});
+  });
+  Warm(&box);
+  sender.Trigger();  // delivers while the receive below spins
+  Message m = box.Recv(1, 7);
+  const uint64_t got_at = NowMicros();
+  EXPECT_EQ(m.payload, "late");
+  EXPECT_GE(got_at, visible_at.load(std::memory_order_acquire))
+      << "received before visible_at_us";
+}
+
+TEST(CommTest, OversubscribedWorldDoesNotBusyPoll) {
+  // 2 × nranks waiters (app thread + handler per rank) on at most
+  // hardware_concurrency CPUs: no room to spin.  Building a World starts no
+  // threads.
+  sim::Topology topo;
+  topo.nranks =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  topo.ranks_per_node = topo.nranks;
+  World world(topo);
+  EXPECT_FALSE(world.busy_poll());
 }
 
 }  // namespace

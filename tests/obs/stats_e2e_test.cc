@@ -178,10 +178,12 @@ TEST_F(ObsE2eTest, TraceEnvProducesChromeTrace) {
         const obs::JsonValue* args = ev.Find("args");
         ASSERT_NE(args, nullptr);
         const std::string& lane = args->Find("name")->str;
-        // Lanes carry role names, not raw tid hashes.
+        // Lanes carry role names, not raw tid hashes ("sampler" is the
+        // timeline thread, present when PAPYRUSKV_TIMELINE_MS is set).
         EXPECT_TRUE(lane == "app" || lane == "compaction" ||
                     lane == "handler" || lane == "aux" ||
-                    lane == "async" || lane == "async_repl")
+                    lane == "async" || lane == "async_repl" ||
+                    lane == "sampler")
             << lane;
         saw_named_thread = true;
       }

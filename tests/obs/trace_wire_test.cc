@@ -22,13 +22,9 @@ obs::TraceContext MakeCtx() {
   return ctx;
 }
 
-std::vector<KvRecord> SampleRecords() {
-  std::vector<KvRecord> records(2);
-  records[0].key = "alpha";
-  records[0].value = "value-a";
-  records[1].key = "beta";
-  records[1].tombstone = true;
-  return records;
+// Views of string literals, which outlive every use.
+std::vector<KvView> SampleRecords() {
+  return {KvView{"alpha", "value-a", false}, KvView{"beta", "", true}};
 }
 
 std::vector<GetMultiOp> SampleOps(const std::string& key) {
@@ -98,7 +94,7 @@ TEST(TraceWireTest, ContextRoundTripsThroughEveryMessageKind) {
     const auto records = SampleRecords();
     const std::string wire = EncodePutBatch(4, 120, records, ctx);
     uint32_t dbid = 0, resp_tag = 0;
-    std::vector<KvRecord> out;
+    std::vector<KvView> out;
     obs::TraceContext got;
     ASSERT_TRUE(DecodePutBatch(wire, &dbid, &resp_tag, &out, &got));
     EXPECT_EQ(dbid, 4u);
