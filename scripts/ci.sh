@@ -30,8 +30,9 @@
 #                  fault_test included, so the submission pipeline and the
 #                  retry/recovery paths get the TSan treatment)
 #   8. bench       micro_kv + fig06_basic + micro_kv_async + repl_failover
-#                  smoke runs with the metrics hook:
-#                  each writes an aggregate BENCH_<name>.json snapshot at
+#                  smoke runs with the metrics hook, plus micro_store's
+#                  google-benchmark JSON (SSTable search, CRC32C, ...):
+#                  each writes a BENCH_<name>.json snapshot at
 #                  the repo root (committed, so metric drift shows in
 #                  review); micro_kv runs once with the timeline sampler
 #                  on (overhead bound: E12c) and once traced (E12b, the
@@ -203,8 +204,11 @@ PAPYRUSKV_TIMEOUT_MS=250 \
   --flight="${BENCH_TMP}/rfo_flight.json" > "${BENCH_TMP}/rfo_merged.txt"
 head -12 "${BENCH_TMP}/rfo_merged.txt"
 grep -q "crash" "${BENCH_TMP}/rfo_merged.txt"  # overlay reached the render
+# Storage-engine primitives (E11): the SSTable search and CRC32C rows give
+# the store read path a trajectory of its own.
+./build/bench/micro_store --benchmark_format=json > BENCH_micro_store.json
 ls -l BENCH_micro_kv.json BENCH_fig06_basic.json BENCH_micro_kv_async.json \
-  BENCH_repl_failover.json
+  BENCH_repl_failover.json BENCH_micro_store.json
 
 stage "" ""
 echo

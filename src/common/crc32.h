@@ -1,6 +1,7 @@
 // CRC-32C (Castagnoli) used to protect SSTable blocks and checkpoint images
-// against corruption on (simulated) NVM.  Software table-driven
-// implementation; the polynomial matches what iSCSI/ext4/LevelDB use so the
+// against corruption on (simulated) NVM.  Uses the SSE4.2 crc32
+// instruction when a runtime cpuid check finds it, else a table-driven
+// software loop; the polynomial matches what iSCSI/ext4/LevelDB use so the
 // values are easy to cross-check.
 #pragma once
 
@@ -12,6 +13,13 @@ namespace papyrus {
 // CRC of [data, data+n), seeded with `init` (pass 0 for a fresh CRC, or a
 // previous result to extend it over concatenated buffers).
 uint32_t Crc32c(const void* data, size_t n, uint32_t init = 0);
+
+// The two implementations Crc32c chooses between, exposed so tests and
+// benches can compare them.  Crc32cHardware is only the hardware path
+// where Crc32cHasHardware() is true (elsewhere it is the portable one).
+uint32_t Crc32cPortable(const void* data, size_t n, uint32_t init = 0);
+uint32_t Crc32cHardware(const void* data, size_t n, uint32_t init = 0);
+bool Crc32cHasHardware();
 
 // A CRC stored on disk is masked so that computing a CRC over a buffer that
 // itself embeds CRCs does not degenerate (same trick as LevelDB).

@@ -27,6 +27,7 @@
 #include "core/runtime.h"
 #include "sim/storage.h"
 #include "store/format.h"
+#include "store/sstable.h"
 
 namespace papyrus::core {
 
@@ -124,17 +125,6 @@ Status ScanSnapshotSsids(const std::string& dir, std::vector<uint64_t>* out) {
   return Status::OK();
 }
 
-Status CopySstableFiles(const std::string& from_dir,
-                        const std::string& to_dir, uint64_t ssid) {
-  for (const auto& name : {store::SsDataName(ssid), store::SsIndexName(ssid),
-                           store::BloomName(ssid)}) {
-    Status s = sim::Storage::CopyFile(from_dir + "/" + name,
-                                      to_dir + "/" + name);
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status KvRuntime::Checkpoint(int dbid, const std::string& path,
@@ -181,7 +171,7 @@ Status KvRuntime::Checkpoint(int dbid, const std::string& path,
     {
       obs::TraceSpan span("kv", "checkpoint");
       for (uint64_t ssid : ssids) {
-        ts = CopySstableFiles(src_dir, dst_dir, ssid);
+        ts = store::CopySSTable(src_dir, dst_dir, ssid);
         if (!ts.ok()) break;
       }
     }
@@ -253,7 +243,7 @@ Status KvRuntime::Restart(const std::string& path, const std::string& name,
       Status ts = ScanSnapshotSsids(src, &ssids);
       if (ts.ok()) {
         for (uint64_t ssid : ssids) {
-          ts = CopySstableFiles(src, db->dir(), ssid);
+          ts = store::CopySSTable(src, db->dir(), ssid);
           if (!ts.ok()) break;
         }
       }

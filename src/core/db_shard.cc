@@ -666,6 +666,14 @@ Status DbShard::SearchForeignSSTables(int owner,
       if (s.IsNotFound()) return s;
       if (!s.ok()) return s;
       MutexLock lock(&foreign_mu_);
+      // A table the owner no longer advertises was compacted away: drop
+      // its reader rather than pin the deleted file.
+      for (auto it = foreign_readers_.lower_bound({owner, 0});
+           it != foreign_readers_.end() && it->first.first == owner;) {
+        const bool live = std::find(ssids.begin(), ssids.end(),
+                                    it->first.second) != ssids.end();
+        it = live ? std::next(it) : foreign_readers_.erase(it);
+      }
       foreign_readers_[{owner, ssid}] = reader;
     }
     if (opt_.bloom_bits_per_key > 0) {
@@ -683,6 +691,16 @@ Status DbShard::SearchForeignSSTables(int owner,
     }
   }
   return Status::OK();
+}
+
+std::vector<uint64_t> DbShard::ForeignReaderSsids(int owner) const {
+  std::vector<uint64_t> out;
+  MutexLock lock(&foreign_mu_);
+  for (auto it = foreign_readers_.lower_bound({owner, 0});
+       it != foreign_readers_.end() && it->first.first == owner; ++it) {
+    out.push_back(it->first.second);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------

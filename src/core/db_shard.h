@@ -179,6 +179,9 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   DbStats StatsSnapshot() const;
   // Bytes in the mutable local + remote MemTables (diagnostics).
   size_t MemTableBytes() const;
+  // SSIDs of owner's tables this rank holds cached §2.7 readers for,
+  // ascending (diagnostics).
+  std::vector<uint64_t> ForeignReaderSsids(int owner) const;
 
  private:
   // The local put path shared by the app thread (local puts) and the
@@ -290,8 +293,12 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   std::atomic<uint64_t> mutation_epoch_{0};
 
   // Readers for other group members' SSTables, keyed by (rank, ssid).
-  // Leaf lock: held only for map lookup/insert, never across file I/O.
-  Mutex foreign_mu_{"db_foreign_mu"};
+  // Holds only tables the owner advertised in the latest search that
+  // cached a reader: each reader pins its index, its mapped SSData and an
+  // fd that keeps a compacted-away file's blocks allocated.
+  // Leaf lock: held only for map lookup/insert/prune, never across file
+  // I/O.
+  mutable Mutex foreign_mu_{"db_foreign_mu"};
   std::map<std::pair<int, uint64_t>, store::SSTablePtr> foreign_readers_
       GUARDED_BY(foreign_mu_);
 

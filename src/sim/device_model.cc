@@ -85,22 +85,40 @@ Device::Device(DeviceClass cls)
 void Device::ChargeRead(uint64_t bytes) {
   read_ops_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
-  obs::Registry& reg = obs::Current();
-  reg.GetCounter(m_ops_[0]).Inc();
-  reg.GetCounter(m_bytes_[0]).Inc(bytes);
   Charge(bytes, /*is_write=*/false);
 }
 
 void Device::ChargeWrite(uint64_t bytes) {
   write_ops_.fetch_add(1, std::memory_order_relaxed);
   bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
-  obs::Registry& reg = obs::Current();
-  reg.GetCounter(m_ops_[1]).Inc();
-  reg.GetCounter(m_bytes_[1]).Inc(bytes);
   Charge(bytes, /*is_write=*/true);
 }
 
 void Device::Charge(uint64_t bytes, bool is_write) {
+  // The calling rank's metrics.  Each thread resolves them once per
+  // registry, device class and direction, keyed by Registry::id() (a
+  // registry address can come back holding different metrics); the
+  // latency histogram only once a delay is modelled.
+  struct DevMetrics {
+    uint64_t registry_id = 0;
+    obs::Counter* ops = nullptr;
+    obs::Counter* bytes = nullptr;
+    obs::Histogram* us = nullptr;
+  };
+  constexpr size_t kClasses = static_cast<size_t>(DeviceClass::kLustre) + 1;
+  thread_local DevMetrics cached[kClasses][2];
+  const int dir = is_write ? 1 : 0;
+  DevMetrics& m = cached[static_cast<size_t>(cls_)][dir];
+  obs::Registry& reg = obs::Current();
+  if (m.registry_id != reg.id()) {
+    m.ops = &reg.GetCounter(m_ops_[dir]);
+    m.bytes = &reg.GetCounter(m_bytes_[dir]);
+    m.us = nullptr;
+    m.registry_id = reg.id();
+  }
+  m.ops->Inc();
+  m.bytes->Inc(bytes);
+
   const double scale = TimeScale();
   if (scale <= 0 || cls_ == DeviceClass::kDram) return;
 
@@ -127,8 +145,8 @@ void Device::Charge(uint64_t bytes, bool is_write) {
   // The caller experiences submission latency plus its queued transfer.
   const uint64_t completion =
       std::max(done, now + static_cast<uint64_t>(lat_us));
-  obs::Current().GetHistogram(m_us_[is_write ? 1 : 0])
-      .Record(completion > now ? completion - now : 0);
+  if (m.us == nullptr) m.us = &reg.GetHistogram(m_us_[dir]);
+  m.us->Record(completion > now ? completion - now : 0);
   if (completion > now) PreciseSleepMicros(completion - now);
 }
 

@@ -88,13 +88,14 @@ class Device {
   void ResetCounters();
 
  private:
+  // Counts the I/O in the calling rank's metrics and sleeps for it.
   void Charge(uint64_t bytes, bool is_write);
 
   DeviceClass cls_;
   DevicePerf perf_;
-  // Per-class metric names, precomputed so the per-I/O registry lookups
-  // need no string building (obs/metrics.h; the registry consulted is the
-  // *calling rank's* — a shared device reports into each user's metrics).
+  // Per-class metric names, looked up once per thread per registry (the
+  // registry consulted is the *calling rank's* — a shared device reports
+  // into each user's metrics).
   std::string m_ops_[2], m_bytes_[2], m_us_[2];  // [0]=read, [1]=write
   // busy-until timestamp (in microseconds of NowMicros) per stripe channel.
   std::vector<std::atomic<uint64_t>> channel_busy_until_;

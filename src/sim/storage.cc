@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -107,7 +108,31 @@ Status WritableFile::Close() {
 }
 
 RandomAccessFile::~RandomAccessFile() {
+  if (map_ != nullptr) {
+    ::munmap(const_cast<char*>(map_), static_cast<size_t>(map_size_));
+  }
   if (fd_ >= 0) ::close(fd_);
+}
+
+Status RandomAccessFile::Map() {
+  if (map_ != nullptr) return Status::OK();
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return Errno("fstat", "");
+  // mmap of 0 bytes is EINVAL: an empty file simply has nothing to view.
+  if (st.st_size == 0) return Status::OK();
+  void* p = ::mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
+                   MAP_SHARED, fd_, 0);
+  if (p == MAP_FAILED) return Errno("mmap", "");
+  map_ = static_cast<const char*>(p);
+  map_size_ = static_cast<uint64_t>(st.st_size);
+  return Status::OK();
+}
+
+void RandomAccessFile::View(uint64_t offset, size_t n, Slice* out) const {
+  const uint64_t avail = offset < map_size_ ? map_size_ - offset : 0;
+  const size_t got = static_cast<size_t>(std::min<uint64_t>(n, avail));
+  *out = got > 0 ? Slice(map_ + offset, got) : Slice();
+  dev_->ChargeRead(got);
 }
 
 Status RandomAccessFile::Read(uint64_t offset, size_t n, char* scratch,

@@ -48,6 +48,15 @@ class WritableFile {
 };
 
 // Positional reads (SSTable random access — the NVM fast path).
+//
+// Two read primitives, both charging the device for the bytes they return:
+//   * Read copies through pread (bulk and sequential readers);
+//   * View returns bytes in place from a read-only shared mapping that Map
+//     creates — the byte-addressable NVM access the §2.6 binary search
+//     assumes, with no syscall or copy per probe.
+// A mapping of a file that later shrinks faults (SIGBUS) on the lost
+// pages, so library code replaces published files by rename and never
+// truncates them in place.
 class RandomAccessFile {
  public:
   ~RandomAccessFile();
@@ -58,6 +67,16 @@ class RandomAccessFile {
   Status Read(uint64_t offset, size_t n, char* scratch, Slice* out) const;
   uint64_t size() const { return size_; }
 
+  // Maps the whole file (its size now, not at open) read-only.  An empty
+  // file maps nothing and every View of it comes back empty.  Not
+  // thread-safe against View: callers publish the mapped file to readers
+  // after Map returns.
+  Status Map();
+  // Views up to n bytes at offset within the mapping; *out is shorter
+  // than n where the mapping ends, and stays valid until this file is
+  // destroyed.
+  void View(uint64_t offset, size_t n, Slice* out) const;
+
  private:
   friend class Storage;
   RandomAccessFile(int fd, uint64_t size, std::shared_ptr<Device> dev)
@@ -65,6 +84,8 @@ class RandomAccessFile {
   int fd_;
   uint64_t size_;
   std::shared_ptr<Device> dev_;
+  const char* map_ = nullptr;
+  uint64_t map_size_ = 0;
 };
 
 // Static facade over the filesystem.  All paths are plain POSIX paths; the
@@ -89,7 +110,8 @@ class Storage {
   static Status CreateDirs(const std::string& dir);  // mkdir -p
   static Status RenameFile(const std::string& from, const std::string& to);
   // Byte copy, charging reads on src's device and writes on dst's (the
-  // checkpoint NVM→Lustre transfer path).
+  // checkpoint NVM→Lustre transfer path).  Writes `to` in place; use
+  // store::CopySSTable to replace a published table file.
   static Status CopyFile(const std::string& from, const std::string& to);
 };
 

@@ -45,6 +45,9 @@ struct IndexEntry {
   // Offset of the key bytes (they follow the record header).
   uint64_t key_offset() const { return data_offset + kRecordHeaderSize; }
   uint64_t value_offset() const { return key_offset() + keylen; }
+  uint64_t record_size() const {
+    return kRecordHeaderSize + uint64_t{keylen} + vallen;
+  }
 };
 
 // File names within a rank's database directory.

@@ -119,11 +119,10 @@ Status Manifest::RepairTable(uint64_t ssid) {
   if (src.empty() || !sim::Storage::FileExists(src + "/" + SsDataName(ssid))) {
     return Status::NotFound("no checkpoint copy to repair from");
   }
-  for (const auto& name :
-       {SsDataName(ssid), SsIndexName(ssid), BloomName(ssid)}) {
-    Status s = sim::Storage::CopyFile(src + "/" + name, dir_ + "/" + name);
-    if (!s.ok()) return s;
-  }
+  // Replaced by rename: readers still holding the corrupt image (and its
+  // mapping) get checksum errors from it, never a fault.
+  Status s = CopySSTable(src, dir_, ssid);
+  if (!s.ok()) return s;
   {
     WriterMutexLock lock(&mu_);
     readers_.erase(ssid);  // force a re-open of the repaired image

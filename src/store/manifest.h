@@ -62,8 +62,8 @@ class Manifest {
   // its SSTables.  RepairTable restores corrupt tables from here; set by
   // checkpoint (after the copies land) and restart (the snapshot itself).
   void SetRepairDir(const std::string& dir);
-  // Restores sst_<ssid>.* from the repair directory over the live files
-  // and drops the cached reader so the next read re-opens the repaired
+  // Restores sst_<ssid>.* from the repair directory, renaming the copies
+  // over the live files (CopySSTable; never rewritten in place), and drops the cached reader so the next read re-opens the repaired
   // image; also lifts any quarantine.  NOT_FOUND when no repair source
   // covers the table (no checkpoint taken, or table newer than it).
   Status RepairTable(uint64_t ssid);

@@ -117,6 +117,23 @@ Status FlushMemTable(const std::string& dir, uint64_t ssid,
   return builder.Finish();
 }
 
+Status CopySSTable(const std::string& from_dir, const std::string& to_dir,
+                   uint64_t ssid) {
+  const std::string names[] = {SsIndexName(ssid), BloomName(ssid),
+                               SsDataName(ssid)};
+  for (const auto& name : names) {
+    Status s = sim::Storage::CopyFile(from_dir + "/" + name,
+                                      to_dir + "/" + name + ".tmp");
+    if (!s.ok()) return s;
+  }
+  for (const auto& name : names) {
+    Status s = sim::Storage::RenameFile(to_dir + "/" + name + ".tmp",
+                                        to_dir + "/" + name);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
 Status SSTableReader::Open(const std::string& dir, uint64_t ssid,
                            std::shared_ptr<SSTableReader>* out) {
   auto reader = std::shared_ptr<SSTableReader>(new SSTableReader(dir, ssid));
@@ -178,6 +195,11 @@ Status SSTableReader::EnsureIndexLoaded() {
     e.flags = static_cast<uint8_t>(in[0]);
     in.remove_prefix(1);
   }
+  // SSData is mapped with the index, so tables the bloom filter skips
+  // never map anything.  A failed map fails the load like a failed index
+  // read; the next call retries.
+  s = data_file_->Map();
+  if (!s.ok()) return s;
   // analyze:allow-guarded-by: publish-once — index_mu_ serializes only
   // this load; after the release-store below index_ is immutable and read
   // lock-free, so GUARDED_BY(index_mu_) would misdescribe the protocol.
@@ -188,30 +210,34 @@ Status SSTableReader::EnsureIndexLoaded() {
   return Status::OK();
 }
 
-Status SSTableReader::ReadRecordAt(const IndexEntry& e, std::string* key,
-                                   std::string* value) {
-  const size_t rec_size = kRecordHeaderSize + e.keylen + e.vallen;
-  std::string buf(rec_size, '\0');
-  Slice got;
-  Status s = data_file_->Read(e.data_offset, rec_size, buf.data(), &got);
-  if (!s.ok()) return s;
-  if (got.size() != rec_size) return Status::Corrupted("record truncated");
-  const uint32_t stored = UnmaskCrc(DecodeFixed32(buf.data()));
-  if (Crc32c(buf.data() + 4, rec_size - 4) != stored) {
+namespace {
+
+// Verifies the CRC of `rec`, the bytes read for entry e, and copies out its
+// key and value (either may be null).
+Status DecodeRecord(const IndexEntry& e, const Slice& rec, std::string* key,
+                    std::string* value) {
+  if (rec.size() != e.record_size()) {
+    return Status::Corrupted("record truncated");
+  }
+  const uint32_t stored = UnmaskCrc(DecodeFixed32(rec.data()));
+  if (Crc32c(rec.data() + 4, rec.size() - 4) != stored) {
     return Status::Corrupted("record crc mismatch");
   }
-  if (key) key->assign(buf.data() + kRecordHeaderSize, e.keylen);
-  if (value) value->assign(buf.data() + kRecordHeaderSize + e.keylen,
-                           e.vallen);
+  if (key) key->assign(rec.data() + kRecordHeaderSize, e.keylen);
+  if (value) {
+    value->assign(rec.data() + kRecordHeaderSize + e.keylen, e.vallen);
+  }
   return Status::OK();
 }
 
-Status SSTableReader::ReadKeyAt(const IndexEntry& e, std::string* key) {
-  key->resize(e.keylen);
-  Slice got;
-  Status s = data_file_->Read(e.key_offset(), e.keylen, key->data(), &got);
-  if (!s.ok()) return s;
-  if (got.size() != e.keylen) return Status::Corrupted("key truncated");
+}  // namespace
+
+Status SSTableReader::CompareAt(const IndexEntry& e, const Slice& key,
+                                int* cmp) const {
+  Slice probe;
+  data_file_->View(e.key_offset(), e.keylen, &probe);
+  if (probe.size() != e.keylen) return Status::Corrupted("key truncated");
+  *cmp = probe.compare(key);
   return Status::OK();
 }
 
@@ -221,54 +247,51 @@ Status SSTableReader::Get(const Slice& key, SearchMode mode,
   Status s = EnsureIndexLoaded();
   if (!s.ok()) return s;
 
+  // Both strategies compare key bytes in place in the mapped SSData and
+  // charge the device for each probe as a read of the key.
+  const size_t n = index_.size();
+  size_t hit = n;
+  int cmp = 0;
   if (mode == SearchMode::kLinear) {
-    // Sequential scan of SSData in file order, stopping as soon as we pass
-    // the sorted position of the key.  Cost: O(n) sequential reads — the
+    // Sequential scan in file order, stopping as soon as we pass the
+    // sorted position of the key.  Cost: O(n) sequential reads — the
     // disk-era strategy the binary search optimization replaces.
-    std::string cur_key;
-    for (const IndexEntry& e : index_) {
-      s = ReadKeyAt(e, &cur_key);
+    for (size_t i = 0; i < n; ++i) {
+      s = CompareAt(index_[i], key, &cmp);
       if (!s.ok()) return s;
-      const int cmp = Slice(cur_key).compare(key);
+      if (cmp >= 0) {
+        if (cmp == 0) hit = i;
+        break;
+      }
+    }
+  } else {
+    // Binary search over the in-memory index; each probe random-reads
+    // one key from SSData — fast on NVM (paper §2.6 "Binary search").
+    size_t lo = 0, hi = n;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      s = CompareAt(index_[mid], key, &cmp);
+      if (!s.ok()) return s;
       if (cmp == 0) {
-        *found = true;
-        if (tombstone) *tombstone = e.tombstone();
-        if (value) {
-          std::string k;
-          return ReadRecordAt(e, &k, value);
-        }
-        return Status::OK();
+        hit = mid;
+        break;
       }
-      if (cmp > 0) return Status::OK();  // passed it: absent
+      if (cmp < 0) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
     }
-    return Status::OK();
   }
+  if (hit == n) return Status::OK();
 
-  // Binary search over the in-memory index; each probe random-reads one
-  // key from SSData — fast on NVM (paper §2.6 "Binary search").
-  size_t lo = 0, hi = index_.size();
-  std::string probe;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    s = ReadKeyAt(index_[mid], &probe);
-    if (!s.ok()) return s;
-    const int cmp = Slice(probe).compare(key);
-    if (cmp == 0) {
-      *found = true;
-      if (tombstone) *tombstone = index_[mid].tombstone();
-      if (value) {
-        std::string k;
-        return ReadRecordAt(index_[mid], &k, value);
-      }
-      return Status::OK();
-    }
-    if (cmp < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return Status::OK();
+  const IndexEntry& e = index_[hit];
+  *found = true;
+  if (tombstone) *tombstone = e.tombstone();
+  if (!value) return Status::OK();
+  Slice rec;
+  data_file_->View(e.data_offset, static_cast<size_t>(e.record_size()), &rec);
+  return DecodeRecord(e, rec, nullptr, value);
 }
 
 Status SSTableReader::ReadEntry(size_t i, std::string* key,
@@ -276,8 +299,15 @@ Status SSTableReader::ReadEntry(size_t i, std::string* key,
   Status s = EnsureIndexLoaded();
   if (!s.ok()) return s;
   if (i >= index_.size()) return Status::InvalidArg("entry index out of range");
-  if (flags) *flags = index_[i].flags;
-  return ReadRecordAt(index_[i], key, value);
+  // Bulk readers stay on pread: every mapped page they touched would count
+  // toward the process's resident set once per open reader.
+  const IndexEntry& e = index_[i];
+  if (flags) *flags = e.flags;
+  std::string buf(static_cast<size_t>(e.record_size()), '\0');
+  Slice rec;
+  s = data_file_->Read(e.data_offset, buf.size(), buf.data(), &rec);
+  if (!s.ok()) return s;
+  return DecodeRecord(e, rec, key, value);
 }
 
 }  // namespace papyrus::store

@@ -67,9 +67,19 @@ class SSTableBuilder {
 Status FlushMemTable(const std::string& dir, uint64_t ssid,
                      const MemTable& mem, int bloom_bits_per_key = 10);
 
+// Copies table ssid's three files from from_dir to to_dir (checkpoint,
+// restart, repair).  Each lands under a .tmp name and is then renamed over
+// its final name, data last as SSTableBuilder::Finish publishes, so a
+// published file is replaced, never truncated in place: a reader that
+// mapped the old SSData keeps that image instead of faulting on it.
+Status CopySSTable(const std::string& from_dir, const std::string& to_dir,
+                   uint64_t ssid);
+
 // Reader.  Open() loads the bloom filter eagerly (the cheap "can we skip
-// this table?" probe the paper describes); SSIndex is loaded lazily on the
-// first real lookup.  Thread-safe for concurrent Gets.
+// this table?" probe the paper describes); SSIndex is loaded, and SSData
+// mapped read-only, lazily on the first real lookup.  Get probes the
+// mapping in place; ReadEntry (compaction, checkpoint verification) reads
+// through pread.  Thread-safe for concurrent Gets.
 class SSTableReader {
  public:
   static Status Open(const std::string& dir, uint64_t ssid,
@@ -98,12 +108,11 @@ class SSTableReader {
   SSTableReader(std::string dir, uint64_t ssid)
       : dir_(std::move(dir)), ssid_(ssid) {}
 
+  // Loads the SSIndex and maps SSData (both once, published together).
   Status EnsureIndexLoaded();
-  // Reads and CRC-verifies the record at index entry i.
-  Status ReadRecordAt(const IndexEntry& e, std::string* key,
-                      std::string* value);
-  // Reads only the key bytes of entry i (a binary-search probe).
-  Status ReadKeyAt(const IndexEntry& e, std::string* key);
+  // One search probe: compares entry e's key, in place in the mapped
+  // SSData, against key.
+  Status CompareAt(const IndexEntry& e, const Slice& key, int* cmp) const;
 
   std::string dir_;
   uint64_t ssid_;

@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "common/random.h"
+
 namespace papyrus {
 namespace {
 
@@ -37,6 +39,28 @@ TEST(Crc32Test, MaskRoundTrip) {
     EXPECT_EQ(UnmaskCrc(MaskCrc(crc)), crc);
     EXPECT_NE(MaskCrc(crc), crc);
   }
+}
+
+TEST(Crc32Test, HardwareAndPortablePathsAgree) {
+  if (!Crc32cHasHardware()) {
+    GTEST_SKIP() << "no hardware crc32c on this CPU";
+  }
+  Rng rng(41);
+  std::string buf(4096 + 16, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Lengths cover the byte-only, word-aligned and tail cases; offsets
+    // cover every alignment.
+    const size_t off = static_cast<size_t>(rng.Uniform(16));
+    const size_t len = trial < 64 ? static_cast<size_t>(trial)
+                                  : static_cast<size_t>(rng.Uniform(4097));
+    const uint32_t init =
+        trial % 3 == 0 ? 0u : static_cast<uint32_t>(rng.Next());
+    EXPECT_EQ(Crc32cHardware(buf.data() + off, len, init),
+              Crc32cPortable(buf.data() + off, len, init))
+        << "off=" << off << " len=" << len << " init=" << init;
+  }
+  EXPECT_EQ(Crc32cHardware("123456789", 9), 0xe3069283u);
 }
 
 }  // namespace

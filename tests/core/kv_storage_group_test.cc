@@ -183,5 +183,44 @@ TEST_F(Kv, SharedReadCorrectAfterOwnerCompaction) {
   });
 }
 
+TEST_F(Kv, ForeignReaderCacheKeepsOnlyLiveTables) {
+  // Each generation flushes one owner table and reads a key from it via
+  // §2.7, caching a reader; the third flush compacts every table into one.
+  // The reader cache must then hold only the merged table: a reader of a
+  // compacted-away table would pin the deleted file.
+  std::vector<uint64_t> owner_live;  // rank 0 publishes, rank 1 reads
+  RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.compaction_trigger = 3;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("sgp", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    for (int gen = 0; gen < 3; ++gen) {
+      const std::string key = KeyOwnedBy(0, 2, "sgp" + std::to_string(gen));
+      if (ctx.rank == 0) {
+        ASSERT_EQ(PutStr(db, key, "gen" + std::to_string(gen)),
+                  PAPYRUSKV_SUCCESS);
+      }
+      ASSERT_EQ(papyruskv_barrier(db, PAPYRUSKV_SSTABLE), PAPYRUSKV_SUCCESS);
+      if (ctx.rank == 1) {
+        std::string out;
+        ASSERT_EQ(GetStr(db, key, &out), PAPYRUSKV_SUCCESS);
+        EXPECT_EQ(out, "gen" + std::to_string(gen));
+      }
+      ASSERT_EQ(papyruskv_barrier(db, PAPYRUSKV_MEMTABLE), PAPYRUSKV_SUCCESS);
+    }
+    const auto shard = papyrus::core::DbHandle(db);
+    if (ctx.rank == 0) owner_live = shard->manifest().LiveSsids();
+    ASSERT_EQ(papyruskv_barrier(db, PAPYRUSKV_MEMTABLE), PAPYRUSKV_SUCCESS);
+    if (ctx.rank == 1) {
+      ASSERT_EQ(owner_live.size(), 1u) << "the owner did not compact";
+      EXPECT_EQ(shard->StatsSnapshot().foreign_sstable_hits, 3u);
+      EXPECT_EQ(shard->ForeignReaderSsids(0), owner_live);
+    }
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
+}
+
 }  // namespace
 }  // namespace papyrus::testutil

@@ -96,5 +96,53 @@ TEST(ManifestTest, OpenForeignReadsAnotherDir) {
   EXPECT_TRUE(Manifest::OpenForeign(tmp.path(), 5, &reader).IsNotFound());
 }
 
+TEST(ManifestTest, RepairReplacesFilesAndSparesOpenReaders) {
+  TempDir live, snap{"manifest_snap"};
+  BuildSmallTable(live.path(), 1);
+  ASSERT_TRUE(CopySSTable(live.path(), snap.path(), 1).ok());  // checkpoint
+  // Corrupt a1's value ("v", right after the 13-byte header and the key).
+  const std::string data_path = live.path() + "/" + SsDataName(1);
+  std::string raw;
+  ASSERT_TRUE(sim::Storage::ReadFileToString(data_path, &raw).ok());
+  raw[kRecordHeaderSize + 2] ^= 0x20;
+  ASSERT_TRUE(sim::Storage::WriteStringToFile(data_path, raw).ok());
+
+  Manifest m(live.path());
+  ASSERT_TRUE(m.Open().ok());
+  SSTablePtr before;
+  ASSERT_TRUE(m.GetReader(1, &before).ok());
+  std::string value;
+  bool tomb, found;
+  ASSERT_EQ(before->Get("a1", SearchMode::kBinary, &value, &tomb, &found)
+                .code(),
+            PAPYRUSKV_CORRUPTED);  // loads the index and maps SSData
+
+  m.SetRepairDir(snap.path());
+  ASSERT_TRUE(m.RepairTable(1).ok());
+
+  // The reader opened before the repair keeps its own (corrupt) image: the
+  // repair renamed new files into place rather than rewriting the mapped
+  // one.  It answers with statuses, never a fault.
+  EXPECT_EQ(before->Get("a1", SearchMode::kBinary, &value, &tomb, &found)
+                .code(),
+            PAPYRUSKV_CORRUPTED);
+  ASSERT_TRUE(
+      before->Get("b1", SearchMode::kBinary, &value, &tomb, &found).ok());
+  EXPECT_TRUE(found);
+  EXPECT_EQ(value, "v");
+
+  SSTablePtr after;
+  ASSERT_TRUE(m.GetReader(1, &after).ok());
+  EXPECT_NE(after.get(), before.get());
+  ASSERT_TRUE(
+      after->Get("a1", SearchMode::kBinary, &value, &tomb, &found).ok());
+  EXPECT_TRUE(found);
+  EXPECT_EQ(value, "v");
+
+  std::vector<std::string> names;
+  ASSERT_TRUE(sim::Storage::ListDir(live.path(), &names).ok());
+  EXPECT_EQ(names.size(), 3u);  // no staging leftovers
+}
+
 }  // namespace
 }  // namespace papyrus::store

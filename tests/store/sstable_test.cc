@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 
 #include "../util/temp_dir.h"
@@ -187,6 +188,82 @@ TEST(SSTableFormatTest, CorruptedIndexDetected) {
       reader->Get("key000000", SearchMode::kBinary, &value, &tomb, &found)
           .code(),
       PAPYRUSKV_CORRUPTED);
+}
+
+// Gets of every key in both modes; returns how many came back CORRUPTED
+// (the rest must succeed with the right value).
+int CountCorruptedGets(const SSTablePtr& reader,
+                       const std::map<std::string, std::string>& data) {
+  int corrupted = 0;
+  for (SearchMode mode : {SearchMode::kBinary, SearchMode::kLinear}) {
+    for (const auto& [k, v] : data) {
+      std::string value;
+      bool tomb, found;
+      Status s = reader->Get(k, mode, &value, &tomb, &found);
+      if (s.code() == PAPYRUSKV_CORRUPTED) {
+        ++corrupted;
+        continue;
+      }
+      EXPECT_TRUE(s.ok()) << k << ": " << s.ToString();
+      EXPECT_TRUE(found) << k;
+      EXPECT_EQ(value, v) << k;
+    }
+  }
+  return corrupted;
+}
+
+TEST(SSTableFormatTest, DataShorterThanIndexIsCorruptNotOverread) {
+  // SSData truncated before Open: the mapping ends where the file does, and
+  // probes of the records past it report corruption instead of reading
+  // beyond the mapping.  Last record: 13-byte header, 9-byte key, 40-byte
+  // value.
+  constexpr uint64_t kLastRecord = kRecordHeaderSize + 9 + 40;
+  // Cut inside the value, then inside the key.
+  for (const uint64_t cut :
+       {uint64_t{10}, kLastRecord - kRecordHeaderSize - 3}) {
+    TempDir tmp;
+    auto data = BuildTable(tmp.path(), 1, 20);
+    const std::string data_path = tmp.path() + "/" + SsDataName(1);
+    const uint64_t full = std::filesystem::file_size(data_path);
+    std::filesystem::resize_file(data_path, full - cut);
+
+    SSTablePtr reader;
+    ASSERT_TRUE(SSTableReader::Open(tmp.path(), 1, &reader).ok());
+    std::string value;
+    bool tomb, found;
+    for (SearchMode mode : {SearchMode::kBinary, SearchMode::kLinear}) {
+      EXPECT_EQ(reader->Get(data.rbegin()->first, mode, &value, &tomb, &found)
+                    .code(),
+                PAPYRUSKV_CORRUPTED)
+          << "cut " << cut;
+    }
+    // No other key's search probes the last record, so every other get
+    // still succeeds.
+    EXPECT_EQ(CountCorruptedGets(reader, data), 2) << "cut " << cut;
+  }
+}
+
+TEST(SSTableFormatTest, ZeroLengthDataMapsNothingAndFails) {
+  TempDir tmp;
+  auto data = BuildTable(tmp.path(), 1, 5);
+  std::filesystem::resize_file(tmp.path() + "/" + SsDataName(1), 0);
+  SSTablePtr reader;
+  ASSERT_TRUE(SSTableReader::Open(tmp.path(), 1, &reader).ok());
+  EXPECT_EQ(reader->count(), 5u);  // the index itself is intact
+  EXPECT_EQ(CountCorruptedGets(reader, data), 2 * 5);
+}
+
+TEST(SSTableFormatTest, EmptyTableMapsNothingAndMisses) {
+  TempDir tmp;
+  SSTableBuilder builder(tmp.path(), 1, 1);
+  ASSERT_TRUE(builder.Finish().ok());
+  SSTablePtr reader;
+  ASSERT_TRUE(SSTableReader::Open(tmp.path(), 1, &reader).ok());
+  EXPECT_EQ(reader->count(), 0u);
+  std::string value;
+  bool tomb, found = true;
+  ASSERT_TRUE(reader->Get("k", SearchMode::kBinary, &value, &tomb, &found).ok());
+  EXPECT_FALSE(found);
 }
 
 TEST(SSTableFormatTest, FlushMemTableRoundTrip) {
