@@ -1,5 +1,5 @@
 // micro_kv_async — remote-put throughput: one-round-trip-per-op synchronous
-// puts vs the async submission pipeline's same-destination batching
+// puts vs the async submission engine's same-destination batching
 // (DESIGN.md §9).
 //
 // Every rank streams puts whose keys hash to its neighbour rank, so every
@@ -7,11 +7,10 @@
 // round trip per op (sequential consistency); the async series submits
 // fire-and-forget papyruskv_put_async and seals with papyruskv_fence, so
 // consecutive same-destination submissions coalesce into shared frames.
-// Series vary the batching knobs (PAPYRUSKV_BATCH_WINDOW_US /
-// PAPYRUSKV_BATCH_MAX); each series is its own job because the pipeline
-// reads the knobs once at startup.
+// Series vary the batch cap (PAPYRUSKV_BATCH_MAX); each series is its own
+// job because the engine reads the cap once at startup.
 //
-// The headline series (200us window, default max) also snapshots the
+// The headline series (default cap) also snapshots the
 // metrics registry to BENCH_micro_kv_async.json with the measured
 // throughputs folded in as bench.* gauges, so the sync-vs-async ratio is
 // part of the committed results trajectory.
@@ -51,13 +50,12 @@ uint64_t DestRankHash(const char* key, size_t keylen) {
 struct Series {
   const char* label;
   bool async_api;
-  int window_us;   // PAPYRUSKV_BATCH_WINDOW_US (async series only)
   int batch_max;   // PAPYRUSKV_BATCH_MAX (async series only)
 };
 
 struct SeriesResult {
   double seconds = 0;      // slowest rank's put-phase time
-  uint64_t frames = 0;     // wire frames sent by rank 0's pipeline
+  uint64_t frames = 0;     // wire frames sent by rank 0's engine
   double ops_per_frame = 0;
 };
 
@@ -65,10 +63,8 @@ SeriesResult RunSeries(const Series& s, const Flags& flags, int iters,
                        size_t vallen, const std::string& repo,
                        bool write_metrics, double sync_krps) {
   if (s.async_api) {
-    setenv("PAPYRUSKV_BATCH_WINDOW_US", std::to_string(s.window_us).c_str(), 1);
     setenv("PAPYRUSKV_BATCH_MAX", std::to_string(s.batch_max).c_str(), 1);
   } else {
-    unsetenv("PAPYRUSKV_BATCH_WINDOW_US");
     unsetenv("PAPYRUSKV_BATCH_MAX");
   }
 
@@ -156,10 +152,9 @@ int main(int argc, char** argv) {
 
   // The headline async series runs last and writes the metrics snapshot.
   const std::vector<Series> series = {
-      {"sync put", false, 0, 0},
-      {"async w=0", true, 0, 256},
-      {"async w=200us max=32", true, 200, 32},
-      {"async w=200us", true, 200, 256},
+      {"sync put", false, 0},
+      {"async max=32", true, 32},
+      {"async", true, 256},
   };
 
   const uint64_t total = static_cast<uint64_t>(iters) * flags.ranks;

@@ -5,8 +5,8 @@
 #   2. analyze     tools/analyzer/papyrus_analyze.py self-tests (intra-file
 #                  + protocol family) + repo-wide run (guarded-by,
 #                  status-discard, codec-symmetry, pipeline-blocking,
-#                  proto-handler, proto-resp-tag, proto-deadlock,
-#                  proto-spec-drift) + wire-version vs HEAD; findings are
+#                  rpc-under-lock, proto-handler, proto-resp-tag,
+#                  proto-deadlock, proto-spec-drift); findings are
 #                  archived as build/analyze_findings.json; runs on the
 #                  built-in text frontend, so it is never skipped — spec
 #                  drift (PROTOCOL.json vs src/core/wire.h) fails here
@@ -27,7 +27,7 @@
 #   6. clang-tidy  concurrency/bugprone checks (skipped if not installed)
 #   7. sanitizers  TSan, ASan, UBSan builds re-running the
 #                  concurrency-sensitive test subset (async_test and
-#                  fault_test included, so the submission pipeline and the
+#                  fault_test included, so the RPC engine and the
 #                  retry/recovery paths get the TSan treatment)
 #   8. bench       micro_kv + fig06_basic + micro_kv_async + repl_failover
 #                  smoke runs with the metrics hook, plus micro_store's
@@ -37,9 +37,11 @@
 #                  review); micro_kv runs once with the timeline sampler
 #                  on (overhead bound: E12c) and once traced (E12b, the
 #                  committed snapshot); repl_failover runs 4 ranks with
-#                  the sampler as its measurement and the merged series is
-#                  re-rendered through papyrus_inspect --timeline, so the
-#                  whole observe-merge-render path gates CI
+#                  the sampler as its measurement (under `timeout 60`, so a
+#                  failover hang fails the stage instead of stalling CI)
+#                  and the merged series is re-rendered through
+#                  papyrus_inspect --timeline, so the whole
+#                  observe-merge-render path gates CI
 #
 # Any stage failing fails the script (set -e); the summary line at the end
 # only prints on full success.  Stages skipped for missing toolchains are
@@ -99,13 +101,11 @@ python3 tools/papyrus_lint.py
 stage analyze "[2/8] analyze (semantic + protocol checks)"
 python3 tools/analyzer/papyrus_analyze.py --self-test
 python3 tools/analyzer/papyrus_analyze.py --self-test-protocol
-# Tree-wide semantic run; wire-version discipline is diff-driven, so gate
-# the working tree's edits against HEAD (no-op on a clean tree).  The
-# machine-readable findings are archived even when the run fails, so a red
-# stage still leaves build/analyze_findings.json for tooling to pick up.
+# Tree-wide semantic run.  The machine-readable findings are archived even
+# when the run fails, so a red stage still leaves
+# build/analyze_findings.json for tooling to pick up.
 mkdir -p build
-python3 tools/analyzer/papyrus_analyze.py --diff-base HEAD \
-  --json build/analyze_findings.json
+python3 tools/analyzer/papyrus_analyze.py --json build/analyze_findings.json
 
 stage build-test "[3/8] build + ctest"
 cmake -B build -S . >/dev/null
@@ -183,7 +183,7 @@ PAPYRUSKV_TRACE="${BENCH_TMP}/trace.json" \
 # Scaled-down fig06: the flush/get path across every storage model.
 ./build/bench/fig06_basic --ranks=2 --iters=4 --scale=0 \
   --repo="${BENCH_TMP}/fig06"
-# Async pipeline: remote-put batching vs one-round-trip-per-op sync puts
+# RPC engine: remote-put batching vs one-round-trip-per-op sync puts
 # at 8 ranks (DESIGN.md §9); the snapshot carries the sync/async KRPS
 # gauges so the batching speedup is part of the results trajectory.
 ./build/bench/micro_kv_async --ranks=8 --iters=1000 \
@@ -198,7 +198,7 @@ PAPYRUSKV_TRACE="${BENCH_TMP}/trace.json" \
 PAPYRUSKV_TIMEOUT_MS=250 \
   PAPYRUSKV_TIMELINE="${BENCH_TMP}/rfo_tl.json" \
   PAPYRUSKV_FLIGHT="${BENCH_TMP}/rfo_flight.json" \
-  ./build/bench/repl_failover --ranks=4 --iters=200 \
+  timeout 60 ./build/bench/repl_failover --ranks=4 --iters=200 \
   --repo="${BENCH_TMP}/rfo"
 ./build/tools/papyrus_inspect --timeline "${BENCH_TMP}/rfo_tl.json" \
   --flight="${BENCH_TMP}/rfo_flight.json" > "${BENCH_TMP}/rfo_merged.txt"

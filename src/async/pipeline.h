@@ -1,61 +1,54 @@
-// Submission/completion pipeline with same-destination request batching
-// (DESIGN.md §9).
+// Submission/completion RPC engine with same-destination request batching
+// (DESIGN.md §9).  It owns no thread.
 //
-// KVell-style shared-nothing queues layered between the public API and the
-// wire: the application (or DbShard's synchronous puts, submit+wait)
-// enqueues operations per destination rank; a pipeline worker drains the
-// queues, coalescing consecutive same-kind operations for one destination
-// into a single `put_batch` / `get_multi` frame, so N remote operations
-// share one wire round trip instead of N.  A synchronous get skips the
-// worker when the ops lane is idle (GetSync below): the caller sends its own
-// one-op `get_multi` frame, the paper's single request/response.  Sync puts
-// always ride the lane, because put retries and quorum-deferred acks rely
-// on its per-destination chaining.  Relaxed-mode migration (§2.4) rides the
-// same lane (SubmitMigration): each owner's chunk of a sealed remote
-// MemTable is one `put_batch` frame, never cut or merged.  Replication-stream
-// appends run on their own lane (second worker thread) — see the Lane
-// comment below for why sharing the ops lane would deadlock under the
-// quorum commit rule.
-// While one cycle's frames are in flight, new submissions accumulate — the
-// pipeline batches *naturally* under load, no timer required (an optional
-// PAPYRUSKV_BATCH_WINDOW_US accumulation window exists for benchmarking).
+// Remote operations — sequential-mode puts and gets, relaxed-mode migration
+// chunks (§2.4) and replication-stream appends (§12) — are submitted per
+// destination rank, and consecutive same-kind operations for one
+// destination coalesce into one `put_batch` / `get_multi` / `repl_append`
+// frame.  Three parts, all under one leaf lock: per-destination chains
+// (a queue and at most one frame in flight; each follower's replication
+// stream has a chain of its own), a pending table of in-flight frames keyed
+// by resp tag, and one deadline min-heap driving re-send with backoff,
+// give-up and suspect marking (KvRuntime's retry policy, DESIGN.md §8).
 //
-// Ordering (SDCB): each destination's queue preserves submission order, and
-// the frames it breaks into form an ordered *chain* — frame N+1 is not put
-// on the wire until frame N's ack arrives.  Chains to distinct destinations
-// overlap (every chain's head frame is sent up front), but within one
-// destination the only frame that can ever be retried is the newest one on
-// the wire, so a retry can never re-apply data that a later frame to the
-// same destination already committed: per-key ordering within a
-// destination queue is exactly submission order, even across retries.
-// Frames never mix op kinds or databases; a kind/db change breaks the
-// frame.
+// Who makes progress: a submitter whose chain is idle encodes and sends the
+// head frame on its own thread; a synchronous put or get then awaits its
+// own reply (KvRuntime::AwaitReply).  Every other frame's reply carries a
+// handler-routed resp tag and lands in this rank's handler mailbox: the
+// handler passes it to OnAck, which completes the frame's ops and sends the
+// chain's next frame, and runs ExpireDeadlines before each wait.  No thread
+// blocks on a reply that belongs to another op; while a frame is in flight,
+// submissions behind it accumulate, so batching needs no timer.
 //
-// Failure semantics: retry/timeout is per *frame* (re-sending the chain's
-// in-flight frame is idempotent: the owner re-applies the same records in
-// order), through KvRuntime::AwaitReply, the runtime's one retry ladder.
-// Per-op errors travel back in the batched ack, so a partially failed
-// batch surfaces exactly which ops failed.  A frame unacknowledged after
-// retry().max_attempts completes all of its ops with
-// PAPYRUSKV_ERR_TIMEOUT and marks the peer suspect; the unsent frames
-// behind it in the same chain fail the same way *without* being sent —
-// the stuck frame may still be sitting in the peer's mailbox, and sending
-// past it would reorder committed data.
+// Ordering (SDCB): frame N+1 of a chain goes on the wire only after frame
+// N's ack, so the only frame that can be retried is the newest one sent to
+// its destination, and a retry (the owner re-applies the same records) can
+// never overwrite data a later frame committed.  Frames never mix op kinds
+// or databases.  A frame unacknowledged after retry().max_attempts fails
+// its ops with PAPYRUSKV_ERR_TIMEOUT and marks the peer suspect; the
+// submissions queued behind it fail the same way *without* being sent.
+// Per-op errors travel back in the batched ack.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <queue>
 #include <string>
-#include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "core/wire.h"
+#include "net/comm.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace papyrus::core {
 class DbShard;
@@ -68,7 +61,7 @@ class MemTable;
 
 namespace papyrus::async {
 
-// Completion handle for one submitted operation.  Created by the pipeline
+// Completion handle for one submitted operation.  Created by the engine
 // (or already-completed for inline-resolved ops); waited on by exactly one
 // consumer.  Gets carry their result payload: either a resolved value
 // (kValue — the op never touched the wire) or the owner's GetResp (kResp —
@@ -106,19 +99,15 @@ class OpState {
 
 using OpHandle = std::shared_ptr<OpState>;
 
-// Already-completed handles for ops resolved without the pipeline (local
+// Already-completed handles for ops resolved without the engine (local
 // puts, staged relaxed puts, gets decided from local memory).
 OpHandle CompletedOp(Status s);
 OpHandle CompletedValueOp(Status s, std::string value);
 
 class AsyncPipeline {
  public:
+  // Reads PAPYRUSKV_BATCH_MAX (ops per frame, default 256).
   explicit AsyncPipeline(core::KvRuntime& rt);
-
-  // Reads PAPYRUSKV_BATCH_MAX / PAPYRUSKV_BATCH_WINDOW_US and launches the
-  // pipeline thread.  Stop() drains remaining submissions, then joins.
-  void Start();
-  void Stop();
 
   // Enqueue one remote put/delete (sequential mode) for `dst`.
   OpHandle SubmitPut(int dst, uint32_t dbid, const Slice& key,
@@ -128,37 +117,40 @@ class AsyncPipeline {
   OpHandle SubmitGet(int dst, uint32_t dbid, const Slice& key,
                      bool full_search);
 
-  // Synchronous remote get (papyruskv_get's network leg and the §2.7
-  // full-search fallback).  With the ops lane idle — nothing queued,
-  // nothing in flight — the calling thread sends a one-op get_multi frame
-  // itself through KvRuntime::RequestReply (fresh tag, bounded retry,
-  // suspect marking, PAPYRUSKV_ERR_TIMEOUT), holding one of the lane's
-  // in-flight slots so Drain() still waits for it.  A busy lane may carry
-  // an earlier put or migration to `dst`, so the get then queues behind it
-  // (SubmitGet + Wait) and SDCB keeps read-your-writes.  Either way the
-  // owner's reply lands in *resp when the op succeeds.
+  // Synchronous remote put (sequential mode) and get (papyruskv_get's
+  // network leg and the §2.7 full-search fallback).  On an idle chain the
+  // calling thread sends a one-op frame itself and waits for its own reply
+  // through KvRuntime::AwaitReply (fresh tag, bounded retry, suspect
+  // marking, PAPYRUSKV_ERR_TIMEOUT); the chain stays busy meanwhile, so
+  // later submissions to `dst` queue behind it and Drain() waits for it.  A
+  // busy chain may carry an earlier put or migration to `dst`, so the op
+  // then queues behind it and SDCB keeps read-your-writes.  GetSync leaves
+  // the owner's reply in *resp when the op succeeds.
+  Status PutSync(int dst, uint32_t dbid, const Slice& key, const Slice& value,
+                 bool tombstone);
   Status GetSync(int dst, uint32_t dbid, const Slice& key, bool full_search,
                  core::GetResp* resp);
 
   // Enqueue one replication-stream append for follower `dst` (DESIGN.md
-  // §12).  Fire-and-forget at the submission layer — there is no OpHandle;
-  // the frame's ack (or give-up) is delivered to the shard's Replicator as
-  // OnAppendAck/OnAppendFailed from the pipeline thread.  Consecutive
-  // submissions with the same epoch and contiguous sequence numbers coalesce
-  // into one kOpReplAppend frame; `reset` starts a frame (resync marker).
+  // §12).  Fire-and-forget — there is no OpHandle; the frame's ack (or
+  // give-up) is delivered to the shard's Replicator as OnAppendAck/
+  // OnAppendFailed from the handler thread.  Consecutive submissions with
+  // the same epoch and contiguous sequence numbers coalesce into one
+  // kOpReplAppend frame; `reset` starts a frame (resync marker).  The
+  // stream has its own chain per follower: a quorum-deferred put ack must
+  // never queue a repl frame behind it.
   void SubmitReplAppend(int dst, uint32_t dbid, uint32_t primary,
                         uint64_t epoch, uint64_t seq, bool reset,
                         uint64_t flushed_through, const Slice& key,
                         const Slice& value, bool tombstone);
 
-  // Relaxed-mode migration of one sealed remote MemTable (§2.4): the ops
-  // lane thread sorts its records by owner and sends one put_batch frame
-  // per owner.  Once every frame is acked or given up (or at once on a
-  // crashed rank, which sends nothing), the lane thread calls
-  // db->MigrationFinished(sealed).  Back-pressure: with kDefaultQueueDepth
-  // sealed tables already awaiting acks, the caller blocks until one
-  // finishes.  Migrations count in the ops lane's totals, so Drain() waits
-  // for them.
+  // Relaxed-mode migration of one sealed remote MemTable (§2.4): the
+  // calling thread sorts its records by owner and submits one put_batch
+  // chunk per owner.  Once every chunk is acked or given up (or at once on
+  // a crashed rank, which sends nothing), db->MigrationFinished(sealed)
+  // runs.  Back-pressure: with kDefaultQueueDepth sealed tables already
+  // awaiting acks, the caller blocks until one finishes.  Drain() waits
+  // for migrations too.
   void SubmitMigration(std::shared_ptr<core::DbShard> db,
                        std::shared_ptr<store::MemTable> sealed);
 
@@ -166,78 +158,101 @@ class AsyncPipeline {
   // async operations and migrations; see DbShard::Fence).
   void Drain();
 
+  // ---- The handler thread's side of the engine ----
+  // A reply whose tag is handler-routed (core::IsHandlerRespTag): completes
+  // its frame and sends the chain's next one.  Late and duplicate replies
+  // (no pending frame) are dropped.
+  void OnAck(const net::Message& m);
+  // Runs every deadline that has passed — re-send after backoff, give up —
+  // and returns how long the handler may wait before calling again: until
+  // the earliest deadline, and never longer than one reply timeout.  Any
+  // frame another thread sends meanwhile has a deadline at least one reply
+  // timeout away, so the handler always wakes in time for it.
+  uint64_t ExpireDeadlines();
+
  private:
-  // One sealed remote MemTable in flight: finished when its last frame
-  // resolves.  frames_left is touched only by the ops lane thread.
+  // One sealed remote MemTable in flight: finished when its last chunk
+  // resolves.
   struct Migration {
     std::shared_ptr<core::DbShard> db;
     std::shared_ptr<store::MemTable> mem;
-    size_t frames_left = 0;
+    std::atomic<size_t> chunks_left{0};
   };
-  // Queue key of migrations not yet sorted by owner (no rank is negative).
-  static constexpr int kUnsorted = -1;
+
+  enum class Kind { kPut, kGet, kRepl, kMigrate };
 
   struct Submission {
-    enum class Kind { kPut, kGet, kRepl, kMigrate };
-    Kind kind;
+    Kind kind = Kind::kPut;
     uint32_t dbid = 0;
     std::string key;
     std::string value;
     bool tombstone = false;
     bool full_search = false;
-    // kRepl stream coordinates (see wire.h ReplAppendMeta).
-    uint32_t repl_primary = 0;
-    uint64_t repl_epoch = 0;
-    uint64_t repl_seq = 0;
-    uint64_t repl_flushed = 0;
-    bool repl_reset = false;
-    uint64_t submitted_at_us = 0;  // stamped at Submit* for op latency
+    core::ReplAppendMeta repl;  // kRepl: this op's stream coordinates
+    uint64_t submitted_at_us = 0;  // stamped at submission for op latency
     OpHandle handle;  // null for kRepl/kMigrate (no per-op waiter)
     std::shared_ptr<Migration> migration;  // kMigrate only
+    std::vector<core::KvView> chunk;       // kMigrate: views into the table
   };
 
-  // One worker lane: its own thread, per-destination queues and in-flight
-  // accounting (all guarded by mu_; a nested struct cannot name the outer
-  // mutex in an annotation).  The pipeline runs TWO lanes:
-  //
-  //   ops   put/get/migration frames.  Their acks may be *deferred* by the
-  //         remote handler until the applied data reaches replication
-  //         quorum (DESIGN.md §12), i.e. until the remote's own repl_append
-  //         frames are acked.
-  //   repl  replication-stream frames.  Followers ack immediately after the
-  //         shadow apply — never deferred.
-  //
-  // The split is what makes the quorum commit rule deadlock-free: if repl
-  // frames shared the ops lane, rank A's lane could block awaiting a put
-  // ack that rank B defers until B's repl frames — queued behind B's
-  // equally blocked lane — reach rank C, closing a cross-rank wait cycle
-  // that only timeouts would break.  The repl lane never waits on anything
-  // that waits back on it.
-  struct Lane {
-    const char* name = "";  // AdoptObservability tag for the worker thread
-    uint64_t window_us = 0;
-    std::thread thread;
-    CondVar cv;  // submissions / stop
-    std::map<int, std::deque<Submission>> queues;
-    size_t queued = 0;
-    size_t inflight = 0;
+  // One wire frame: consecutive same-kind, same-db submissions for one
+  // destination, capped at batch_max_ — or one owner's whole migration
+  // chunk, however large (§2.4: one chunk per owner).
+  struct Frame {
+    int dst = 0;
+    Kind kind = Kind::kPut;
+    uint32_t dbid = 0;
+    int op = 0;   // wire opcode
+    int tag = 0;  // resp tag; the pending-table key of an engine frame
+    std::string payload;
+    std::vector<Submission> ops;
+    // The RPC leg of the whole frame, open until it is acked or given up:
+    // each op the remote handler services becomes a flow-linked child.
+    std::optional<obs::OpSpan> rpc;
+    int attempt = 1;
+    uint64_t deadline_us = 0;
+    bool backoff = false;  // the deadline ends a backoff: re-send then
+  };
+  using FramePtr = std::shared_ptr<Frame>;
+
+  // Invariant: a chain with queued submissions is busy (an idle chain's
+  // first submission becomes its in-flight frame at once).
+  struct Chain {
+    std::deque<Submission> queue;
+    bool busy = false;  // a frame (engine or inline) is in flight
   };
 
-  void Loop(Lane* lane);
-  // In-flight slot accounting shared by Loop (one cycle's ops) and GetSync
-  // (one inline get): Claim counts `n` dispatched ops against `lane`;
-  // Retire un-counts them and wakes Drain().
-  void ClaimInflight(Lane* lane, size_t n) REQUIRES(mu_);
-  void RetireInflight(Lane* lane, size_t n);
-  // Builds, sends, and collects acks for one swap of a lane's queues, then
-  // retires the cycle's `count` in-flight slots on `lane`.
-  void ProcessCycle(std::map<int, std::deque<Submission>> work, Lane* lane,
-                    size_t count);
-  void Enqueue(int dst, Submission s);  // routes on s.kind
-  void PushLocked(Lane* lane, int dst, Submission s) REQUIRES(mu_);
-  // Every frame of migration `s` resolved: report it to its shard and free
-  // its slot under the kDefaultQueueDepth bound.
-  void FinishMigration(const Submission& s);
+  // A put/get/repl submission stamped now; `flag` is a get's full_search,
+  // else the tombstone bit.
+  static Submission NewOp(Kind kind, uint32_t dbid, const Slice& key,
+                          const Slice& value, bool flag);
+  Chain& ChainFor(int dst, Kind kind) REQUIRES(mu_);
+  // Queues `s`; on an idle chain sends its frame from this thread.
+  // Returns s's handle.
+  OpHandle Enqueue(int dst, Submission s);
+  // The inline path of PutSync/GetSync: returns the completed handle.
+  OpHandle Call(int dst, Submission s);
+  // Next frame of a busy chain whose previous frame resolved: its queued
+  // head, or null (the chain goes idle).
+  FramePtr NextFrameLocked(int dst, Kind kind) REQUIRES(mu_);
+  // Sends `f` (if any); a crashed rank resolves it unsent instead.
+  void Launch(FramePtr f);
+  // Encodes `f` with a fresh resp tag and sends its first attempt.  An
+  // engine frame (`pending`, its owner) is first entered in the pending
+  // table, so its reply goes to the handler; an inline frame (null) is
+  // awaited by its sender.
+  void Transmit(Frame& f, FramePtr pending);
+  // `f` was answered (`sent` ok, with `reply`) or not: releases its chain
+  // — the next frame goes out, or every submission queued behind a failed
+  // frame fails unsent with `sent` — then completes f's ops.
+  void Resolve(Frame& f, const Status& sent, const std::string& reply);
+  // Completes f's ops from its reply payload, or fails all of them.
+  void Complete(Frame& f, const std::string& reply);
+  void Fail(Frame& f, const Status& s);
+  // Counts `n` submissions as completed and wakes Drain().
+  void Retire(size_t n);
+  void PublishDepthLocked() REQUIRES(mu_);
+  void MigrationChunkDone(const Submission& s);
   // Records submit→completion latency (async.put_op_us / async.get_op_us);
   // call immediately before completing the handle.
   void RecordOpLatency(const Submission& s);
@@ -245,26 +260,35 @@ class AsyncPipeline {
   core::KvRuntime& rt_;
   size_t batch_max_ = 256;
 
-  bool started_ = false;  // Start/Stop called from the owning rank thread
-
+  // Leaf lock: nothing is called under it that could take another lock,
+  // send, or call back into a shard.
   Mutex mu_{"async_pipe_mu"};
-  CondVar drain_cv_;  // every lane's queued + inflight reached zero
-  bool stop_ GUARDED_BY(mu_) = false;
-  size_t migrations_ GUARDED_BY(mu_) = 0;  // submitted, not yet finished
-  // Queue/counter fields guarded by mu_; name/window/thread are set before
-  // the worker starts and joined after it stops, so they need no lock.
-  Lane ops_lane_;
-  Lane repl_lane_;
+  CondVar drain_cv_;  // outstanding_ reached zero / a migration finished
+  // Per rank: [2 * dst] the ops chain, [2 * dst + 1] the repl stream.
+  std::vector<Chain> chains_ GUARDED_BY(mu_);
+  std::unordered_map<int, FramePtr> pending_ GUARDED_BY(mu_);
+  // (deadline_us, tag); entries whose frame resolved or re-armed are stale
+  // and skipped when popped.
+  std::priority_queue<std::pair<uint64_t, int>,
+                      std::vector<std::pair<uint64_t, int>>,
+                      std::greater<std::pair<uint64_t, int>>>
+      deadlines_ GUARDED_BY(mu_);
+  // deadlines_'s top (or UINT64_MAX), written under mu_ and read without
+  // it, so a handler with no engine frame in flight never takes mu_.
+  std::atomic<uint64_t> next_deadline_us_{UINT64_MAX};
+  size_t outstanding_ GUARDED_BY(mu_) = 0;  // submitted, not yet completed
+  size_t queued_ GUARDED_BY(mu_) = 0;       // in chain queues, not framed
+  size_t migrations_ GUARDED_BY(mu_) = 0;   // submitted, not yet finished
 
   // Cached metrics (resolved once; see obs/metrics.h).
   obs::Gauge* g_depth_;            // async.queue_depth
-  obs::Gauge* g_inflight_;         // async.inflight (dispatched, unacked)
+  obs::Gauge* g_inflight_;         // async.inflight (framed, unacked)
   obs::Histogram* h_put_batch_;    // async.batch_size
   obs::Histogram* h_get_batch_;    // async.get_batch_size
   obs::Histogram* h_repl_batch_;   // async.repl_batch_size
   obs::Counter* c_op_errors_;      // async.op_errors
   obs::Counter* c_frames_;         // async.frames
-  obs::Counter* c_inline_gets_;    // async.inline_gets (GetSync, idle lane)
+  obs::Counter* c_inline_gets_;    // async.inline_gets (GetSync, idle chain)
   obs::Gauge* g_migrations_;       // net.migration_queue_depth
   obs::Histogram* h_migration_us_;  // store.migration_us (submit → finish)
   // True per-op latency, submit → completion (the batched ack landing).

@@ -148,28 +148,13 @@ Status DbShard::Put(const Slice& key, const Slice& value) {
   // Trace root: this put (and everything it triggers, up to the remote
   // handler on the owner rank) is one causal chain.
   obs::OpSpan op("kv", "put");
-  const int hash_owner = OwnerOf(key);
-  const int owner = RouteOwner(hash_owner);
+  const int owner = RouteOwner(OwnerOf(key));
   if (owner == rt_.rank()) {
     m_.puts_local->Inc();
     return LocalPut(key, value, /*tombstone=*/false);
   }
   if (consistency_.load() == PAPYRUSKV_SEQUENTIAL) {
-    Status s = SyncRemotePut(key, value, false, owner);
-    if (s.code() == PAPYRUSKV_ERR_TIMEOUT && repl_ && owner == hash_owner &&
-        rt_.IsSuspect(hash_owner)) {
-      // The owner died under this put: re-route once through failover
-      // promotion and retry against whichever replica took over.
-      const int routed = RouteOwner(hash_owner);
-      if (routed != hash_owner) {
-        if (routed == rt_.rank()) {
-          m_.puts_local->Inc();
-          return LocalPut(key, value, /*tombstone=*/false);
-        }
-        return SyncRemotePut(key, value, false, routed);
-      }
-    }
-    return s;
+    return SyncRemotePut(key, value, false, owner);
   }
   return StageRemotePut(key, value, false, owner);
 }
@@ -185,20 +170,10 @@ Status DbShard::Delete(const Slice& key) {
   obs::ScopedLatency lat(m_.delete_us);
   obs::OpSpan op("kv", "delete");
   m_.deletes->Inc();
-  const int hash_owner = OwnerOf(key);
-  const int owner = RouteOwner(hash_owner);
+  const int owner = RouteOwner(OwnerOf(key));
   if (owner == rt_.rank()) return LocalPut(key, Slice(), true);
   if (consistency_.load() == PAPYRUSKV_SEQUENTIAL) {
-    Status s = SyncRemotePut(key, Slice(), true, owner);
-    if (s.code() == PAPYRUSKV_ERR_TIMEOUT && repl_ && owner == hash_owner &&
-        rt_.IsSuspect(hash_owner)) {
-      const int routed = RouteOwner(hash_owner);
-      if (routed != hash_owner) {
-        if (routed == rt_.rank()) return LocalPut(key, Slice(), true);
-        return SyncRemotePut(key, Slice(), true, routed);
-      }
-    }
-    return s;
+    return SyncRemotePut(key, Slice(), true, owner);
   }
   return StageRemotePut(key, Slice(), true, owner);
 }
@@ -224,7 +199,7 @@ async::OpHandle DbShard::PutAsync(const Slice& key, const Slice& value,
     return async::CompletedOp(LocalPut(key, value, tombstone));
   }
   if (consistency_.load() == PAPYRUSKV_SEQUENTIAL) {
-    // The only genuinely asynchronous put path: the op rides the pipeline
+    // The only genuinely asynchronous put path: the op rides the engine
     // and completes when the owner's batched ack lands.  Only the enqueue
     // happens in this scope, so it records as a *submit* metric/span; the
     // operation's real latency (submit → ack) lands in async.put_op_us at
@@ -390,15 +365,28 @@ void DbShard::RotateRemoteLocked() {
 Status DbShard::SyncRemotePut(const Slice& key, const Slice& value,
                               bool tombstone, int owner) {
   // §3.1 sequential mode: the pair is migrated to the owner immediately and
-  // synchronously.  Submit+wait through the async pipeline (DESIGN.md §9),
-  // so sync and async puts share one batching/retry/timeout machine — a
-  // dead owner still surfaces as PAPYRUSKV_ERR_TIMEOUT, delivered via the
-  // completion handle.  Unlike sync gets (AsyncPipeline::GetSync), puts
-  // never go inline: a retried put and a quorum-deferred ack are only safe
-  // behind the per-destination frame chain.
+  // synchronously, through the RPC engine (DESIGN.md §9), so sync and async
+  // puts share one batching/retry/timeout machine — a dead owner still
+  // surfaces as PAPYRUSKV_ERR_TIMEOUT.  On an idle chain this thread sends
+  // the one-op frame and awaits its own (possibly quorum-deferred) ack.
   m_.puts_remote_sync->Inc();
   cache_remote_.Erase(key);
-  return rt_.pipeline().SubmitPut(owner, id_, key, value, tombstone)->Wait();
+  Status s = rt_.pipeline().PutSync(owner, id_, key, value, tombstone);
+  if (s.code() != PAPYRUSKV_ERR_TIMEOUT || !repl_ || owner != OwnerOf(key) ||
+      !rt_.IsSuspect(owner)) {
+    return s;
+  }
+  // The owner died under this put: re-route once through failover
+  // promotion and retry against whichever replica took over.  With no
+  // replica promoted the owner may well be alive — its ack can sit out its
+  // own dead follower's retry ladder (quorum deferral, DESIGN.md §12) — so
+  // it gets the one retry.
+  const int routed = RouteOwner(owner);
+  if (routed == rt_.rank()) {
+    if (!tombstone) m_.puts_local->Inc();
+    return LocalPut(key, value, tombstone);
+  }
+  return rt_.pipeline().PutSync(routed, id_, key, value, tombstone);
 }
 
 // ---------------------------------------------------------------------------
@@ -573,7 +561,7 @@ Status DbShard::RemoteGet(const Slice& key, std::string* value) {
     return tombstone ? Status::NotFound() : Status::OK();
   }
   // Network leg: one get_multi round trip, sent from this thread when the
-  // pipeline's ops lane is idle, else queued behind its traffic.  Routed
+  // owner's chain is idle, else queued behind its traffic.  Routed
   // through failover promotion: deterministic here and in FinishRemoteGet
   // because the promoted-owner cache pins the election result.
   GetResp resp;
@@ -710,14 +698,16 @@ std::vector<uint64_t> DbShard::ForeignReaderSsids(int owner) const {
 int DbShard::RouteOwner(int owner) {
   if (!repl_ || owner == rt_.rank()) return owner;
   if (!rt_.IsSuspect(owner)) return owner;
-  MutexLock lock(&promo_mu_);
-  const int promoted = PromotedOwnerLocked(owner);
+  {
+    MutexLock lock(&promo_mu_);
+    auto cached = promoted_owner_.find(owner);
+    if (cached != promoted_owner_.end()) return cached->second;
+  }
+  const int promoted = ElectPromotedOwner(owner);
   return promoted < 0 ? owner : promoted;
 }
 
-int DbShard::PromotedOwnerLocked(int dead) {
-  auto cached = promoted_owner_.find(dead);
-  if (cached != promoted_owner_.end()) return cached->second;
+int DbShard::ElectPromotedOwner(int dead) {
   // repl.promote.race widens the election window under test: two ranks
   // electing concurrently must still converge, which the deterministic
   // scoring below guarantees (same probes -> same winner).
@@ -738,6 +728,10 @@ int DbShard::PromotedOwnerLocked(int dead) {
     bool in_sync = false;
     if (c == rt_.rank()) {
       repl_->QueryShadow(dead, &epoch, &seq, &in_sync);
+      if (HasPromoted(dead)) {
+        epoch = UINT64_MAX;  // as HandleReplQuery reports a promoted rank
+        in_sync = true;
+      }
     } else {
       if (rt_.IsSuspect(c)) continue;
       const uint32_t tag = rt_.AllocRespTag();
@@ -766,7 +760,7 @@ int DbShard::PromotedOwnerLocked(int dead) {
   }
   if (best < 0) return -1;  // nobody answered; not cached, re-elect later
   if (best == rt_.rank()) {
-    if (!PromoteSelfLocked(dead).ok()) return -1;
+    if (!PromoteSelf(dead).ok()) return -1;
   } else {
     const uint32_t tag = rt_.AllocRespTag();
     std::string req = EncodeReplQuery(id_, tag, static_cast<uint32_t>(dead),
@@ -782,11 +776,16 @@ int DbShard::PromotedOwnerLocked(int dead) {
       return -1;
     }
   }
-  promoted_owner_[dead] = best;
-  PLOG_WARN << "failover: rank " << best << " promoted for dead rank "
-            << dead << " (epoch " << best_epoch << ", seq " << best_seq
-            << ")";
-  return best;
+  // Publish: a concurrent election on this rank (or this rank's own
+  // promotion) may have published first, and the first answer stands.
+  MutexLock lock(&promo_mu_);
+  auto [it, inserted] = promoted_owner_.emplace(dead, best);
+  if (inserted) {
+    PLOG_WARN << "failover: rank " << best << " promoted for dead rank "
+              << dead << " (epoch " << best_epoch << ", seq " << best_seq
+              << ")";
+  }
+  return it->second;
 }
 
 Status DbShard::PromoteSelf(int primary) {
@@ -1087,12 +1086,12 @@ void DbShard::MigrationFinished(const store::MemTablePtr& mem) {
 Status DbShard::Fence() {
   obs::ScopedLatency lat(m_.fence_us);
   // A crashed rank has no staged data left and must not emit traffic; the
-  // pipeline already completed every queued op with an error, so only the
+  // engine already completed every queued op with an error, so only the
   // event-handle reap runs (crash semantics: the fence itself reports OK).
   if (rt_.crashed()) {
     Status reap = rt_.ReapAsyncOps();
     if (!reap.ok()) {
-      // Expected: the pipeline completed every queued op with "rank
+      // Expected: the engine completed every queued op with "rank
       // crashed"; those errors were observable per-event and must not turn
       // the fence's crash semantics (report OK) into a failure.  Logged so
       // a *different* reap failure is still visible.

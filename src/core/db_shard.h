@@ -7,7 +7,7 @@
 //   * a mutable *remote MemTable* — pairs owned by other ranks, staged in
 //     relaxed consistency mode, each entry tagged with its owner rank;
 //   * *immutable remote MemTables* — sealed tables migrating to their
-//     owners through the async pipeline's ops lane, until every owner acks;
+//     owners through the RPC engine (src/async/), until every owner acks;
 //   * a *local cache* — LRU over pairs fetched from this rank's SSTables;
 //   * a *remote cache* — LRU over pairs fetched from other ranks, active
 //     only while the database is read-only (§3.2);
@@ -19,7 +19,8 @@
 // Threading contract: one application thread per rank drives Put/Get/
 // Delete/Fence/Barrier (MPI style).  The runtime's handler thread calls
 // ApplyBatch/HandleRemoteGet concurrently; the compaction thread calls
-// FlushImmutable; the pipeline's ops lane thread calls MigrationFinished.
+// FlushImmutable; whichever thread resolves a migration's last chunk (the
+// handler, at its ack) calls MigrationFinished.
 // Internal state is guarded accordingly.
 #pragma once
 
@@ -144,7 +145,7 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // and merges being serialized there.
   Status FlushImmutable(const store::MemTablePtr& mem);
 
-  // ---- Migration entry points (the async pipeline's ops lane) ----
+  // ---- Migration entry points (the RPC engine) ----
   // Sorts a sealed remote MemTable's records per owner rank (§2.4: "it
   // sorts the key-value pairs in the MemTable by the owner rank number ...
   // accumulates the key-value pairs per rank").  The records view `mem`'s
@@ -190,7 +191,8 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // Stages a remote put in the remote MemTable (relaxed mode).
   Status StageRemotePut(const Slice& key, const Slice& value, bool tombstone,
                         int owner);
-  // Sends a single synchronous put to the owner (sequential mode).
+  // Sends a single synchronous put to the owner (sequential mode); on a
+  // timeout against a suspect owner, retries once where failover routes.
   Status SyncRemotePut(const Slice& key, const Slice& value, bool tombstone,
                        int owner);
 
@@ -238,13 +240,16 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // ---- Failover routing (DESIGN.md §12) ----
   // Resolves the rank that currently serves `owner`'s hash slot: `owner`
   // itself while it is healthy, else the promoted replica elected by
-  // PromotedOwnerLocked.  Returns `owner` unchanged when replication is off
+  // ElectPromotedOwner.  Returns `owner` unchanged when replication is off
   // or no replica could be promoted.
   int RouteOwner(int owner);
   // Elects and (if needed) triggers promotion of the most-caught-up in-sync
-  // follower for dead rank `dead`; caches the winner.  -1 when no candidate
-  // answered.
-  int PromotedOwnerLocked(int dead) REQUIRES(promo_mu_);
+  // follower for dead rank `dead`, then publishes the winner.  Its probes
+  // and the promote request run with no lock held; only the publish takes
+  // promo_mu_, and the first published winner stands (the deterministic
+  // score makes concurrent electors pick the same one).  -1 when no
+  // candidate answered.
+  int ElectPromotedOwner(int dead) EXCLUDES(promo_mu_);
   Status PromoteSelfLocked(int primary) REQUIRES(promo_mu_);
   // Searches the SSTables adopted from promoted-away primaries.
   Status SearchPromotedSSTables(const Slice& key, std::string* value,
@@ -303,9 +308,9 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
       GUARDED_BY(foreign_mu_);
 
   // Intra-group replication engine (null when the effective replica count
-  // is 1).  Lock order: promo_mu_ -> local_mu_ -> the replicator's mu_;
-  // promo_mu_ additionally serializes elections so one rank never promotes
-  // two different replicas for the same dead primary.
+  // is 1).  Lock order: promo_mu_ -> local_mu_ -> the replicator's mu_.
+  // No RPC ever waits under promo_mu_ (papyrus_analyze rpc-under-lock): the
+  // handler takes it to answer election probes.
   std::unique_ptr<repl::Replicator> repl_;
   Mutex promo_mu_{"db_promo_mu"};
   std::map<int, int> promoted_owner_ GUARDED_BY(promo_mu_);   // dead -> serving
@@ -315,7 +320,7 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   std::atomic<bool> promoted_any_{false};
   std::atomic<uint64_t> replica_rr_{0};  // read-from-replica round robin
 
-  // Outstanding flushes (migrations are counted by the pipeline).
+  // Outstanding flushes (migrations are counted by the RPC engine).
   // drain_mu_ is last in the canonical order: it is taken while no other
   // shard lock is held.
   Mutex drain_mu_{"db_drain_mu"};

@@ -216,8 +216,8 @@ int papyruskv_get_multi(papyruskv_db_t db, int nkeys, const char* const* keys,
   }
   DbShardPtr shard = rt->Find(db);
   if (!shard) return PAPYRUSKV_INVALID_DB;
-  // Submit everything first: outstanding gets for one owner coalesce into a
-  // single get_multi frame when the pipeline thread drains the queues.
+  // Submit everything first: outstanding gets for one owner queue behind
+  // its first and coalesce into a single get_multi frame.
   std::vector<papyrus::async::OpHandle> handles;
   handles.reserve(static_cast<size_t>(nkeys));
   for (int i = 0; i < nkeys; ++i) {

@@ -188,7 +188,6 @@ KvRuntime::~KvRuntime() {
 void KvRuntime::StartThreads() {
   compaction_thread_ = std::thread([this] { CompactionLoop(); });
   handler_thread_ = std::thread([this] { HandlerLoop(); });
-  pipeline_.Start();
   // No-op unless PAPYRUSKV_TIMELINE_MS configured it; the sampler only
   // reads metrics, so it starts last and stops first.
   timeline_.Start([this] { AdoptObservability("sampler"); });
@@ -198,8 +197,8 @@ void KvRuntime::StopThreads() {
   // The sampler goes first (it only observes); Stop takes the tail-window
   // sample so short runs still export a series.
   timeline_.Stop();
-  // Auxiliary (restart) tasks may still need the pipeline/handler/
-  // compaction threads; join them before tearing those down.
+  // Auxiliary (restart) tasks may still need the handler/compaction
+  // threads; join them before tearing those down.
   std::vector<std::thread> aux;
   {
     MutexLock lock(&aux_mu_);
@@ -207,9 +206,10 @@ void KvRuntime::StopThreads() {
   }
   for (auto& t : aux) t.join();
 
-  // The pipeline stops first: it drains any straggling submissions while
-  // every peer's handler is still up (Finalize barriers before this).
-  pipeline_.Stop();
+  // Straggling engine frames resolve first, while this rank's handler
+  // still runs their acks and deadlines and every peer's handler is still
+  // up (Finalize barriers before this).
+  pipeline_.Drain();
 
   CompactionJob stop_flush;
   stop_flush.shutdown = true;
@@ -400,12 +400,20 @@ void KvRuntime::CompactionLoop() {
 void KvRuntime::HandlerLoop() {
   AdoptObservability("handler");
   for (;;) {
-    // The handler parks on the request stream by design: shutdown arrives
-    // as a self-addressed kOpShutdown message (never dropped — loopback is
-    // exempt from fault injection), not as a deadline.
-    // analyze:allow-proto-deadlock: shutdown is delivered as a loopback
-    // kOpShutdown message that cannot be lost, so this wait always ends
-    net::Message m = req_comm_.Recv();
+    // The wait ends at the engine's earliest retry deadline; shutdown
+    // arrives as a self-addressed kOpShutdown message (never dropped —
+    // loopback is exempt from fault injection).
+    net::Message m;
+    if (!req_comm_.RecvFor(net::kAnySource, net::kAnyTag,
+                           pipeline_.ExpireDeadlines(), &m)) {
+      continue;
+    }
+    // An engine frame's ack: even a crashed rank resolves its own
+    // outstanding ops, so no waiter hangs.
+    if (IsHandlerRespTag(m.tag)) {
+      pipeline_.OnAck(m);
+      continue;
+    }
     // Fail-stop (§4.2): a crashed rank must not answer requests — a reply
     // served from its emptied store would read as an authoritative miss and
     // mask the failover path.  Only the loopback shutdown is still honored;
@@ -446,7 +454,7 @@ void KvRuntime::HandlePutBatch(const net::Message& m) {
     PLOG_ERROR << "handler: malformed put batch from rank " << m.src;
     return;
   }
-  // Child of the pipeline's put_batch.rpc span (flow-linked across ranks):
+  // Child of the engine's put_batch.rpc span (flow-linked across ranks):
   // the entire batch — coalesced sequential puts or one migration chunk —
   // is serviced under one handler wakeup.
   obs::OpSpan span("net", "handle.put_batch", ctx);
@@ -618,6 +626,11 @@ void KvRuntime::SendRequest(int dst, int op, const Slice& payload) {
 void KvRuntime::SendResponse(int dst, int tag, const Slice& payload) {
   c_resp_msgs_->Inc();
   c_resp_bytes_->Inc(payload.size());
+  if (IsHandlerRespTag(tag)) {
+    // An engine frame's ack: into the requester's handler mailbox.
+    req_comm_.Send(dst, tag, payload);  // lint:allow-direct-send
+    return;
+  }
   resp_comm_.Send(dst, tag, payload);  // lint:allow-direct-send
 }
 
@@ -637,15 +650,27 @@ Status KvRuntime::AwaitReply(int dst, int op, const Slice& payload,
                              int resp_tag, net::Message* reply) {
   for (int attempt = 1;; ++attempt) {
     if (resp_comm_.RecvFor(dst, resp_tag, retry_.reply_timeout_us, reply)) {
-      flight_.Record(obs::FlightKind::kOpEnd, OpName(op), dst);
+      EndRequest(dst, op);
       return Status::OK();
     }
     if (attempt >= retry_.max_attempts) break;
-    c_req_retries_->Inc();
-    flight_.Record(obs::FlightKind::kRetry, OpName(op), dst, attempt);
+    NoteRetry(dst, op, attempt);
     PreciseSleepMicros(retry_.BackoffUs(attempt));
     SendRequest(dst, op, payload);
   }
+  return GiveUp(dst, op);
+}
+
+void KvRuntime::EndRequest(int dst, int op) {
+  flight_.Record(obs::FlightKind::kOpEnd, OpName(op), dst);
+}
+
+void KvRuntime::NoteRetry(int dst, int op, int attempt) {
+  c_req_retries_->Inc();
+  flight_.Record(obs::FlightKind::kRetry, OpName(op), dst, attempt);
+}
+
+Status KvRuntime::GiveUp(int dst, int op) {
   c_req_timeouts_->Inc();
   flight_.Record(obs::FlightKind::kTimeout, OpName(op), dst,
                  retry_.max_attempts);

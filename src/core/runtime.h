@@ -6,15 +6,16 @@
 //     MemTables → SSTables), runs merge compaction, and executes
 //     checkpoint/restart file transfers (§4.2: "the compaction thread in
 //     each rank starts to transfer the SSTables");
-//   * the *async pipeline* (src/async/) — its ops lane is the paper's
-//     message dispatcher: it carries sequential-mode puts, remote gets and
-//     relaxed-mode migration (one put_batch frame per sealed remote
-//     MemTable and owner), and its repl lane the replication stream;
-//   * the *message handler* — receives requests from other ranks and
-//     applies/serves them;
+//   * the *RPC engine* (src/async/) — the paper's message dispatcher, with
+//     no thread of its own: sequential-mode puts, remote gets, relaxed-mode
+//     migration and the replication stream leave from the submitting
+//     thread, or from the handler as acks release each chain's next frame;
+//   * the *message handler* — serves requests from other ranks, and runs
+//     the engine's acks and retry deadlines.  So a rank runs three threads
+//     (app, handler, compaction) plus the optional sampler and aux ones;
 //   * the flushing queue — lock-free, fixed size, FIFO; producers block
 //     while full (back-pressure, §2.4; migration has the same bound inside
-//     the pipeline);
+//     the engine);
 //   * communicators dup'ed from the application's (§2.4: "the runtime
 //     creates new independent MPI communicators"), so runtime traffic can
 //     never interfere with application messages;
@@ -177,7 +178,7 @@ class KvRuntime {
   void SendRequest(int dst, int op, const Slice& payload);
   void SendResponse(int dst, int tag, const Slice& payload);
 
-  // ---- Async submission/completion pipeline (src/async/) ----
+  // ---- RPC engine (src/async/) ----
   async::AsyncPipeline& pipeline() { return pipeline_; }
   // Registers an outstanding papyruskv_*_async op; returns its event handle
   // (>= kAsyncEventBase).
@@ -197,9 +198,14 @@ class KvRuntime {
 
   // Unique tag for a reply that may be retried (see wire.h: a retried
   // request must never match a previous attempt's late reply onto the next
-  // request).
-  int AllocRespTag() {
-    return resp_tag_seq_.fetch_add(1, std::memory_order_relaxed);
+  // request).  A handler-routed tag (to_handler) sends the reply to this
+  // rank's handler instead of a waiting caller (wire.h).
+  int AllocRespTag(bool to_handler = false) {
+    const uint32_t seq =
+        resp_tag_seq_.fetch_add(1, std::memory_order_relaxed) %
+        (kHandlerRespTagBase - kDynamicRespTagBase);
+    return (to_handler ? kHandlerRespTagBase : kDynamicRespTagBase) +
+           static_cast<int>(seq);
   }
 
   // Request/reply with bounded retry (DESIGN.md §8): BeginRequest, then
@@ -208,14 +214,22 @@ class KvRuntime {
                       net::Message* reply);
   // First attempt of a request: records its flight op_begin and sends it.
   void BeginRequest(int dst, int op, const Slice& payload);
-  // The one retry ladder, for a request BeginRequest already sent: waits up
+  // The retry ladder, for a request BeginRequest already sent: waits up
   // to retry().reply_timeout_us for the reply tagged resp_tag; on timeout
   // re-sends (runtime requests are idempotent) with exponential backoff.
-  // After retry().max_attempts attempts it counts net.req.timeouts, marks
-  // dst suspect, dumps the flight recorder and returns
-  // PAPYRUSKV_ERR_TIMEOUT.
+  // After retry().max_attempts attempts it gives up (GiveUp).  The RPC
+  // engine runs the same ladder from its deadline heap, through the three
+  // steps below.
   Status AwaitReply(int dst, int op, const Slice& payload, int resp_tag,
                     net::Message* reply);
+  // The reply arrived: records the flight op_end.
+  void EndRequest(int dst, int op);
+  // Attempt `attempt` timed out and will be re-sent: counts
+  // net.req.retries and records the flight retry.
+  void NoteRetry(int dst, int op, int attempt);
+  // The last attempt timed out: counts net.req.timeouts, marks dst suspect,
+  // dumps the flight recorder and returns PAPYRUSKV_ERR_TIMEOUT.
+  Status GiveUp(int dst, int op);
 
   const fault::RetryPolicy& retry() const { return retry_; }
 
@@ -287,8 +301,8 @@ class KvRuntime {
   StorageLayout layout_;
   EventRegistry events_;
 
-  net::Communicator req_comm_;      // requests → handler threads
-  net::Communicator resp_comm_;     // handler → requester threads
+  net::Communicator req_comm_;      // requests and engine acks → handler
+  net::Communicator resp_comm_;     // replies → callers awaiting them
   net::Communicator barrier_comm_;  // app-thread collectives
   net::Communicator restart_comm_;  // compaction-thread collectives
   net::Communicator signal_comm_;   // papyruskv_signal_*
@@ -318,7 +332,7 @@ class KvRuntime {
   // Fault/recovery state (DESIGN.md §8).
   fault::RetryPolicy retry_;
   std::atomic<bool> crashed_{false};
-  std::atomic<int> resp_tag_seq_{kDynamicRespTagBase};
+  std::atomic<uint32_t> resp_tag_seq_{0};
   fault::Point* crash_point_;      // cached rank.crash failpoint
   fault::Point* repl_drop_point_;  // cached repl.append.drop failpoint
 
@@ -354,9 +368,8 @@ class KvRuntime {
   obs::TimelineSampler timeline_{&metrics_};
   const uint64_t start_us_ = NowMicros();
 
-  // Declared last: its constructor resolves metrics from metrics_ above,
-  // and Start/Stop bracket the other runtime threads (StartThreads/
-  // StopThreads).
+  // Declared last: its constructor resolves metrics from metrics_ above.
+  // StopThreads drains it while the handler still runs its acks.
   async::AsyncPipeline pipeline_{*this};
 };
 

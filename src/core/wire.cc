@@ -82,15 +82,6 @@ bool DecodeGetResp(const Slice& payload, GetResp* r) {
 }
 
 namespace {
-// Consumes the batch version byte; false on empty input or unknown version.
-bool GetBatchVersion(Slice* in) {
-  if (in->empty() || static_cast<uint8_t>((*in)[0]) != kBatchVersion) {
-    return false;
-  }
-  in->remove_prefix(1);
-  return true;
-}
-
 // count × ([lp key][lp value][u8 tomb]), shared by PutBatch and ReplAppend.
 void PutRecords(std::string* out, const std::vector<KvView>& records) {
   PutFixed32(out, static_cast<uint32_t>(records.size()));
@@ -127,7 +118,6 @@ std::string EncodePutBatch(uint32_t dbid, uint32_t resp_tag,
                            const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutRecords(&out, records);
@@ -139,7 +129,6 @@ bool DecodePutBatch(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     obs::TraceContext* trace_ctx) {
   Slice in = payload;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
   if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag)) return false;
   return GetRecords(&in, records);
 }
@@ -148,7 +137,6 @@ std::string EncodePutBatchAck(const std::vector<int32_t>& statuses,
                               const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
   PutFixed32(&out, static_cast<uint32_t>(statuses.size()));
   for (int32_t s : statuses) PutFixed32(&out, static_cast<uint32_t>(s));
   return out;
@@ -158,7 +146,6 @@ bool DecodePutBatchAck(const Slice& payload, std::vector<int32_t>* statuses,
                        obs::TraceContext* trace_ctx) {
   Slice in = payload;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
   uint32_t count = 0;
   if (!GetFixed32(&in, &count)) return false;
   statuses->clear();
@@ -177,7 +164,6 @@ std::string EncodeGetMulti(uint32_t dbid, uint32_t resp_tag,
                            const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutFixed32(&out, caller_group);
@@ -194,7 +180,6 @@ bool DecodeGetMulti(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     obs::TraceContext* trace_ctx) {
   Slice in = payload;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
   uint32_t count = 0;
   if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
       !GetFixed32(&in, caller_group) || !GetFixed32(&in, &count)) {
@@ -218,7 +203,6 @@ std::string EncodeGetMultiResp(const std::vector<GetMultiResult>& results,
                                const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
   PutFixed32(&out, static_cast<uint32_t>(results.size()));
   for (const GetMultiResult& r : results) {
     PutFixed32(&out, static_cast<uint32_t>(r.status));
@@ -233,7 +217,6 @@ bool DecodeGetMultiResp(const Slice& payload,
                         obs::TraceContext* trace_ctx) {
   Slice in = payload;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
   uint32_t count = 0;
   if (!GetFixed32(&in, &count)) return false;
   results->clear();
@@ -258,7 +241,6 @@ std::string EncodeReplAppend(uint32_t dbid, uint32_t resp_tag,
                              const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutFixed32(&out, meta.primary);
@@ -276,7 +258,6 @@ bool DecodeReplAppend(const Slice& payload, uint32_t* dbid,
                       obs::TraceContext* trace_ctx) {
   Slice in = payload;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
   if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
       !GetFixed32(&in, &meta->primary) || !GetFixed64(&in, &meta->epoch) ||
       !GetFixed64(&in, &meta->first_seq) ||
@@ -292,7 +273,6 @@ std::string EncodeReplAppendAck(uint64_t epoch, uint64_t acked_seq, bool ok,
                                 const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
   PutFixed64(&out, epoch);
   PutFixed64(&out, acked_seq);
   out.push_back(ok ? 1 : 0);
@@ -304,7 +284,6 @@ bool DecodeReplAppendAck(const Slice& payload, uint64_t* epoch,
                          obs::TraceContext* trace_ctx) {
   Slice in = payload;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
   if (!GetFixed64(&in, epoch) || !GetFixed64(&in, acked_seq) || in.empty()) {
     return false;
   }
@@ -318,7 +297,6 @@ std::string EncodeReplQuery(uint32_t dbid, uint32_t resp_tag,
                             const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutFixed32(&out, primary);
@@ -331,7 +309,6 @@ bool DecodeReplQuery(const Slice& payload, uint32_t* dbid,
                      obs::TraceContext* trace_ctx) {
   Slice in = payload;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
   if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
       !GetFixed32(&in, primary) || in.empty()) {
     return false;
@@ -346,7 +323,6 @@ std::string EncodeReplQueryResp(uint64_t epoch, uint64_t last_seq,
                                 const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
   PutFixed64(&out, epoch);
   PutFixed64(&out, last_seq);
   out.push_back(in_sync ? 1 : 0);
@@ -358,7 +334,6 @@ bool DecodeReplQueryResp(const Slice& payload, uint64_t* epoch,
                          obs::TraceContext* trace_ctx) {
   Slice in = payload;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
   if (!GetFixed64(&in, epoch) || !GetFixed64(&in, last_seq) || in.empty()) {
     return false;
   }
@@ -372,7 +347,6 @@ std::string EncodeReplRead(uint32_t dbid, uint32_t resp_tag,
                            const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutFixed32(&out, primary);
@@ -386,7 +360,6 @@ bool DecodeReplRead(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
   Slice in = payload;
   Slice k;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
   if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
       !GetFixed32(&in, primary) || !GetLengthPrefixed(&in, &k)) {
     return false;
@@ -400,7 +373,6 @@ std::string EncodeReplReadResp(bool ok, bool found, bool tombstone,
                                const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
   out.push_back(ok ? 1 : 0);
   out.push_back(found ? 1 : 0);
   out.push_back(tombstone ? 1 : 0);
@@ -413,7 +385,6 @@ bool DecodeReplReadResp(const Slice& payload, bool* ok, bool* found,
                         obs::TraceContext* trace_ctx) {
   Slice in = payload;
   if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
   if (in.size() < 3) return false;
   *ok = in[0] != 0;
   *found = in[1] != 0;

@@ -1,15 +1,16 @@
 // Wire protocol between rank runtimes.
 //
-// Paper §2.4/§2.6: the sending side (the async pipeline's lanes, plus
+// Paper §2.4/§2.6: the sending side (the RPC engine in src/async/, plus
 // callers running their own request through KvRuntime::RequestReply) and the
 // message handler (receiver side) exchange request/response messages over
 // communicators private to the PapyrusKV runtime.  The message kinds are
 // listed with WireOp below.
 //
-// Requests travel on the request communicator with tag = opcode; responses
-// on the response communicator with the tag the requester wrote into the
-// request header, so concurrent requesting threads (app thread, pipeline
-// lanes, restart task) never steal each other's replies.
+// Requests travel on the request communicator with tag = opcode.  Replies
+// carry the tag the requester wrote into the request header, so concurrent
+// requesting threads (app thread, handler, restart task) never steal each
+// other's replies; the tag's range also picks the reply's route (see
+// kHandlerRespTagBase).
 #pragma once
 
 #include <cstdint>
@@ -23,19 +24,20 @@
 
 namespace papyrus::core {
 
-// ---- Trace-context header (versioned, optional) ----------------------------
+// ---- Trace-context header (optional) ---------------------------------------
 // When the sender has an active sampled trace (obs::OpSpan), every message
 // kind below is prefixed with
 //
 //   [u32 kTraceMagic][u64 trace_id][u64 span_id][u8 flags]
 //
-// ahead of its body.  The magic's low byte (the first byte on the wire,
-// little-endian) is 0xff, which no body can start with: every frame body
-// begins with the batch version byte, and the GetResp bodies embedded in a
-// GetMultiResp begin with a 0/1 `found` byte and never carry a header.
-// Decoders peek the first word — absent magic means a no-context payload,
-// so untraced frames carry no header bytes at all.
-// `flags` bit 0 = sampled; other bits reserved for future versions.
+// ahead of its body.  Decoders peek the first word — absent magic means a
+// no-context payload, so untraced frames carry no header bytes at all.  No
+// honest body can start with the magic word (0x54524cff): every body opens
+// with a small integer (db id, record count or stream epoch — UINT64_MAX,
+// a promoted rank's probe answer, reads 0xffffffff) or with a 0/1 flag
+// byte, and the GetResp bodies embedded in a GetMultiResp never carry a
+// header.
+// `flags` bit 0 = sampled; other bits reserved.
 inline constexpr uint32_t kTraceMagic = 0x54524cffu;  // "\xffLRT" on the wire
 
 // Appends the trace header to `out` when `ctx` is a live sampled context.
@@ -91,6 +93,12 @@ inline constexpr int kOpMax = kOpReplRead;
 inline constexpr int kDynamicRespTagBase = 100;
 static_assert(kOpMax < kDynamicRespTagBase,
               "opcode space must stay below the response-tag floor");
+// Tags at or above this floor are *handler-routed*: the reply goes on the
+// request communicator to the requester's handler, whose RPC engine
+// (src/async/) matches it to its pending frame; lower tags go on the
+// response communicator to a caller awaiting its own reply.
+inline constexpr int kHandlerRespTagBase = 1 << 30;
+inline bool IsHandlerRespTag(int tag) { return tag >= kHandlerRespTagBase; }
 
 struct KvRecord {
   std::string key;
@@ -130,16 +138,8 @@ struct GetResp {
 std::string EncodeGetResp(const GetResp& r);
 bool DecodeGetResp(const Slice& payload, GetResp* r);
 
-// ---- Batched submission/completion codec (versioned) -----------------------
-// Every batch frame starts (after the optional trace header) with a one-byte
-// format version so the wire protocol can evolve without re-keying opcodes.
-// Decoders reject frames whose version they do not know; v1 is the only
-// version today.  The version byte (0x01) can never alias the trace magic
-// (first wire byte 0xff).
-inline constexpr uint8_t kBatchVersion = 1;
-
 // ---- PutBatch --------------------------------------------------------------
-// [trace hdr?][u8 ver][u32 dbid][u32 resp_tag][u32 count]
+// [trace hdr?][u32 dbid][u32 resp_tag][u32 count]
 //   count × ([lp key][lp value][u8 tomb])
 //
 // Decoded records view `payload`, which must outlive them.
@@ -151,7 +151,7 @@ bool DecodePutBatch(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     obs::TraceContext* trace_ctx = nullptr);
 
 // ---- PutBatchAck -----------------------------------------------------------
-// [trace hdr?][u8 ver][u32 count] count × [i32 status]
+// [trace hdr?][u32 count] count × [i32 status]
 //
 // One PAPYRUSKV_* code per op, in submission order: a partially failed
 // batch surfaces exactly which ops failed (the batch as a whole is still
@@ -162,7 +162,7 @@ bool DecodePutBatchAck(const Slice& payload, std::vector<int32_t>* statuses,
                        obs::TraceContext* trace_ctx = nullptr);
 
 // ---- GetMulti --------------------------------------------------------------
-// [trace hdr?][u8 ver][u32 dbid][u32 resp_tag][u32 caller_group][u32 count]
+// [trace hdr?][u32 dbid][u32 resp_tag][u32 caller_group][u32 count]
 //   count × ([lp key][u8 flags])
 //
 // flags bit 0 (kGetFullSearch): search the owner's SSTables even when the
@@ -182,7 +182,7 @@ bool DecodeGetMulti(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     obs::TraceContext* trace_ctx = nullptr);
 
 // ---- GetMultiResp ----------------------------------------------------------
-// [trace hdr?][u8 ver][u32 count] count × ([i32 status][lp GetResp-body])
+// [trace hdr?][u32 count] count × ([i32 status][lp GetResp-body])
 //
 // Each entry embeds one length-prefixed GetResp body (no nested trace
 // header).
@@ -197,7 +197,7 @@ bool DecodeGetMultiResp(const Slice& payload,
                         obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplAppend ------------------------------------------------------------
-// [trace hdr?][u8 ver][u32 dbid][u32 resp_tag][u32 primary][u64 epoch]
+// [trace hdr?][u32 dbid][u32 resp_tag][u32 primary][u64 epoch]
 // [u64 first_seq][u64 flushed_through][u8 reset][u32 count]
 //   count × ([lp key][lp value][u8 tomb])
 //
@@ -226,7 +226,7 @@ bool DecodeReplAppend(const Slice& payload, uint32_t* dbid,
                       obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplAppendAck ---------------------------------------------------------
-// [trace hdr?][u8 ver][u64 epoch][u64 acked_seq][u8 ok]
+// [trace hdr?][u64 epoch][u64 acked_seq][u8 ok]
 //
 // ok=1: the follower has applied every op up to and including acked_seq
 // under `epoch`.  ok=0 is a NACK — epoch mismatch or sequence gap; `epoch`
@@ -240,7 +240,7 @@ bool DecodeReplAppendAck(const Slice& payload, uint64_t* epoch,
                          obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplQuery -------------------------------------------------------------
-// [trace hdr?][u8 ver][u32 dbid][u32 resp_tag][u32 primary][u8 promote]
+// [trace hdr?][u32 dbid][u32 resp_tag][u32 primary][u8 promote]
 //
 // Failover election probe for `primary`'s partition.  promote=0 asks the
 // follower to report its shadow progress; promote=1 tells the elected
@@ -254,7 +254,7 @@ bool DecodeReplQuery(const Slice& payload, uint32_t* dbid,
                      obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplQueryResp ---------------------------------------------------------
-// [trace hdr?][u8 ver][u64 epoch][u64 last_seq][u8 in_sync]
+// [trace hdr?][u64 epoch][u64 last_seq][u8 in_sync]
 //
 // The follower's shadow progress for the queried primary: highest applied
 // (epoch, seq) and whether it believes its shadow is a gap-free copy of the
@@ -267,7 +267,7 @@ bool DecodeReplQueryResp(const Slice& payload, uint64_t* epoch,
                          obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplRead --------------------------------------------------------------
-// [trace hdr?][u8 ver][u32 dbid][u32 resp_tag][u32 primary][lp key]
+// [trace hdr?][u32 dbid][u32 resp_tag][u32 primary][lp key]
 //
 // Read-from-replica: look `key` up in the follower's shadow MemTable for
 // `primary`'s partition.  A shadow miss is not NOT_FOUND — the shadow only
@@ -282,7 +282,7 @@ bool DecodeReplRead(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplReadResp ----------------------------------------------------------
-// [trace hdr?][u8 ver][u8 ok][u8 found][u8 tombstone][lp value]
+// [trace hdr?][u8 ok][u8 found][u8 tombstone][lp value]
 std::string EncodeReplReadResp(bool ok, bool found, bool tombstone,
                                const Slice& value,
                                const obs::TraceContext& trace_ctx = {});

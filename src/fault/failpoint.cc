@@ -80,6 +80,10 @@ uint64_t DelayMicros() {
   return g_delay_us.load(std::memory_order_relaxed);
 }
 
+void SetDelayMicros(uint64_t us) {
+  g_delay_us.store(us, std::memory_order_relaxed);
+}
+
 // ---------------------------------------------------------------------------
 // Point
 // ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@
 //   repl.promote.race       stretch the failover election window by 2ms so
 //                           concurrent electors overlap; the deterministic
 //                           scoring must still converge on one winner
-//                           (core/db_shard.cc PromotedOwnerLocked)
+//                           (core/db_shard.cc ElectPromotedOwner)
 //
 // Determinism: every point draws from its own generator seeded with
 // PAPYRUSKV_FAULT_SEED mixed with the point name, so a fixed seed and spec
@@ -82,8 +82,10 @@ void SetThreadRank(int rank);
 int ThreadRank();
 
 // Extra propagation delay charged when net.msg.delay fires
-// (PAPYRUSKV_FAULT_DELAY_US, cached at Configure time).
+// (PAPYRUSKV_FAULT_DELAY_US, cached at Configure time; tests that need a
+// longer hold set it directly).
 uint64_t DelayMicros();
+void SetDelayMicros(uint64_t us);
 
 // One named failpoint.  Stable address for the process lifetime, so
 // injection sites may cache `Registry::Instance().GetPoint(...)` in a

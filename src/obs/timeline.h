@@ -10,7 +10,8 @@
 //      only place the registry mutex is touched), and a tick reads only
 //      relaxed atomics and writes only ring-slot atomics.  papyrus_analyze
 //      walks the call graph from SampleOnce and rejects anything blocking
-//      or lock-holding on the path, the same way it polices ProcessCycle.
+//      or lock-holding on the path, the same way it polices the RPC
+//      engine's handler-side path.
 //   2. Deltas must be monotone-safe against papyruskv_stats_reset: a
 //      counter observed below its previous value restarts the baseline at
 //      zero (delta = current) instead of underflowing into a 2^64 spike;

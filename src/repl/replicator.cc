@@ -58,8 +58,8 @@ Replicator::Replicator(core::KvRuntime* rt, uint32_t dbid,
 
 Replicator::~Replicator() {
   // Safety net: by teardown every append has been acked or failed (the
-  // pipeline drains before it stops), so matured waiters have fired; any
-  // stragglers fire here so no writer can hang on a lost ack.
+  // engine drains before the handler stops), so matured waiters have
+  // fired; any stragglers fire here so no writer can hang on a lost ack.
   std::vector<Waiter> leftovers;
   {
     MutexLock lock(&mu_);

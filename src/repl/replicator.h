@@ -6,14 +6,14 @@
 // SSTable — has to move.  The primary assigns every committed local op a
 // monotonically increasing sequence number, retains the unflushed suffix of
 // that sequence in a replication log, and streams it to each follower
-// through the async pipeline as versioned kOpReplAppend frames.  Followers
+// through the RPC engine (src/async/) as kOpReplAppend frames.  Followers
 // apply the stream into a shadow MemTable keyed by (db, primary) and ack by
 // (epoch, seq).
 //
 // Commit rule: an op is durable once ⌊k/2⌋+1 replicas (primary included)
 // hold it.  The put_batch/migrate handlers defer their acks through
 // AckWhenDurable(), so a remote writer's event completes only after quorum;
-// the primary's own fence drains the pipeline, which processes every
+// the primary's own fence drains the RPC engine, which processes every
 // outstanding append ack.  When fewer than ⌊k/2⌋+1 replicas are live the
 // group degrades explicitly: acks proceed on the survivors, a kDegraded
 // flight event fires and repl.degraded counts the transition — durability
@@ -77,8 +77,8 @@ class Replicator {
 
   // ---- primary side -------------------------------------------------------
   // Called under DbShard::local_mu_, immediately after the local MemTable
-  // apply: assigns the op its sequence number and enqueues one pipeline
-  // submission per live follower.
+  // apply: assigns the op its sequence number and submits one engine
+  // append per live follower.
   void Append(const Slice& key, const Slice& value, bool tombstone);
 
   // RotateLocalLocked: the active MemTable sealed at the current sequence.
@@ -92,7 +92,7 @@ class Replicator {
 
   // Runs `fn` once every op up to `seq` is durable at quorum (possibly
   // inline, on this thread).  Used by the runtime's apply handlers to defer
-  // their acks; `fn` must be safe to call from the pipeline thread.
+  // their acks; `fn` must be safe to call from the handler thread.
   void AckWhenDurable(uint64_t seq, std::function<void()> fn);
 
   // Blocks the calling (rank) thread until every op assigned so far is
@@ -101,7 +101,7 @@ class Replicator {
   // OnAppendFailed and drop out of the quorum calculation.
   void WaitLocalDurable();
 
-  // Pipeline-thread callbacks, one per acked/failed kOpReplAppend frame.
+  // Handler-thread callbacks, one per acked/failed kOpReplAppend frame.
   // `epoch` is the frame's epoch as echoed by the follower.
   void OnAppendAck(int follower, uint64_t epoch, uint64_t acked_seq, bool ok);
   void OnAppendFailed(int follower);

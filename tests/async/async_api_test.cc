@@ -128,13 +128,13 @@ TEST_F(AsyncApiTest, FenceIsACompletionFenceForFireAndForgetPuts) {
 }
 
 TEST_F(AsyncApiTest, RetryCannotReorderSameDestinationFrames) {
-  // The SDCB-under-retry hazard: three frames to one destination in one
-  // cycle (put k=v1 / get k / put k=v2 — a kind change breaks the frame)
-  // with the first frame's message dropped by the fabric.  Frame N+1 must
-  // not reach the wire before frame N is acked, so the retry of frame 1
-  // cannot re-apply v1 after frame 3 committed v2 — and the get, sitting
-  // between the puts, must observe exactly v1.
-  setenv("PAPYRUSKV_BATCH_WINDOW_US", "50000", 1);
+  // The SDCB-under-retry hazard: three frames to one destination (put k=v1
+  // / get k / put k=v2 — a kind change breaks the frame) with the first
+  // frame's message dropped by the fabric.  The dropped head frame stays in
+  // flight until its 100ms re-send, so the get and the second put queue
+  // behind it.  Frame N+1 must not reach the wire before frame N is acked,
+  // so the retry of frame 1 cannot re-apply v1 after frame 3 committed v2 —
+  // and the get, sitting between the puts, must observe exactly v1.
   setenv("PAPYRUSKV_TIMEOUT_MS", "100", 1);
   RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
     papyruskv_option_t opt;
@@ -148,8 +148,8 @@ TEST_F(AsyncApiTest, RetryCannotReorderSameDestinationFrames) {
 
     if (ctx.rank == 0) {
       const std::string k = KeysOwnedBy(shard, 1, 1)[0];
-      // Drop exactly the next fabric message rank 0 sends: the head frame
-      // of the pipeline cycle, carrying put(k, v1).
+      // Drop exactly the next fabric message rank 0 sends: the chain's
+      // head frame, carrying put(k, v1).
       Arm("net.msg.drop=rank0@op1");
       papyruskv_event_t e1 = 0, e2 = 0, e3 = 0;
       char* value = nullptr;
@@ -179,7 +179,6 @@ TEST_F(AsyncApiTest, RetryCannotReorderSameDestinationFrames) {
     ctx.comm.Barrier();
     ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
   });
-  unsetenv("PAPYRUSKV_BATCH_WINDOW_US");
   unsetenv("PAPYRUSKV_TIMEOUT_MS");
 }
 
@@ -227,10 +226,11 @@ TEST_F(AsyncApiTest, FenceRetiresCompletedPutEventsButNotGets) {
 }
 
 TEST_F(AsyncApiTest, SameDestinationSubmissionsCoalesceIntoOneFrame) {
-  // A batching window holds the pipeline open long enough for the app
-  // thread's burst to land in one cycle; consecutive same-destination puts
-  // must then share frames instead of paying one round trip each.
-  setenv("PAPYRUSKV_BATCH_WINDOW_US", "20000", 1);
+  // A 20ms net.msg.delay holds the chain's head frame in flight long enough
+  // for the app thread's burst to queue behind it; consecutive
+  // same-destination puts must then share frames instead of paying one
+  // round trip each.
+  fault::SetDelayMicros(20000);
   const int kOps = 48;
   RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
     papyruskv_option_t opt;
@@ -247,6 +247,7 @@ TEST_F(AsyncApiTest, SameDestinationSubmissionsCoalesceIntoOneFrame) {
       const uint64_t frames_before = reg.GetCounter("async.frames").Value();
 
       const auto keys = KeysOwnedBy(shard, 1, kOps);
+      Arm("net.msg.delay=rank0@op1");  // the burst's head frame
       std::vector<papyruskv_event_t> evs(keys.size());
       for (size_t i = 0; i < keys.size(); ++i) {
         ASSERT_EQ(PutAsyncStr(db, keys[i], "b" + std::to_string(i), &evs[i]),
@@ -257,8 +258,8 @@ TEST_F(AsyncApiTest, SameDestinationSubmissionsCoalesceIntoOneFrame) {
       }
 
       const uint64_t frames = reg.GetCounter("async.frames").Value();
-      // 48 ops submitted inside one 20ms window: massively fewer frames
-      // than ops (exact count depends on when the first cycle opened).
+      // 48 ops submitted while the head frame is held: massively fewer
+      // frames than ops.
       EXPECT_LT(frames - frames_before, static_cast<uint64_t>(kOps) / 4);
       // The batch-size histogram saw at least one genuinely merged frame.
       const obs::HistogramData h =
@@ -269,16 +270,15 @@ TEST_F(AsyncApiTest, SameDestinationSubmissionsCoalesceIntoOneFrame) {
     ctx.comm.Barrier();
     ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
   });
-  unsetenv("PAPYRUSKV_BATCH_WINDOW_US");
 }
 
 TEST_F(AsyncApiTest, SyncGetGoesInlineOnlyWhenTheOpsLaneIsIdle) {
-  // A sync get sends its own get_multi frame only when the ops lane is
-  // idle.  Behind an unwaited put_async to the same owner it must queue on
-  // the lane instead, so the chained frames keep read-your-writes.  Both
-  // paths feed the same async.* ledger.  The batching window holds the
-  // put in the queue, so the get surely finds the lane busy.
-  setenv("PAPYRUSKV_BATCH_WINDOW_US", "50000", 1);
+  // A sync get sends its own get_multi frame only when the owner's chain
+  // is idle.  Behind an unwaited put_async to the same owner it must queue
+  // on the chain instead, so the chained frames keep read-your-writes.
+  // Both paths feed the same async.* ledger.  A 50ms net.msg.delay holds
+  // the put frame in flight, so the get surely finds the chain busy.
+  fault::SetDelayMicros(50000);
   RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
     papyruskv_option_t opt;
     ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
@@ -298,7 +298,7 @@ TEST_F(AsyncApiTest, SyncGetGoesInlineOnlyWhenTheOpsLaneIsIdle) {
       const std::string k = KeysOwnedBy(shard, 1, 1)[0];
 
       ASSERT_EQ(PutStr(db, k, "v0"), PAPYRUSKV_SUCCESS);
-      ASSERT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);  // lane now idle
+      ASSERT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);  // chain now idle
       uint64_t frames0 = frames.Value();
       uint64_t inline0 = inline_gets.Value();
       uint64_t op0 = get_op.Snapshot().count;
@@ -314,6 +314,7 @@ TEST_F(AsyncApiTest, SyncGetGoesInlineOnlyWhenTheOpsLaneIsIdle) {
       frames0 = frames.Value();
       inline0 = inline_gets.Value();
       op0 = get_op.Snapshot().count;
+      Arm("net.msg.delay=rank0@op1");  // the put_async frame
       ASSERT_EQ(papyruskv_put_async(db, k.data(), k.size(), "v1", 2, nullptr),
                 PAPYRUSKV_SUCCESS);
       ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS);
@@ -322,11 +323,11 @@ TEST_F(AsyncApiTest, SyncGetGoesInlineOnlyWhenTheOpsLaneIsIdle) {
       EXPECT_EQ(frames.Value(), frames0 + 2);   // put frame, then get frame
       EXPECT_EQ(get_op.Snapshot().count, op0 + 1);
       ASSERT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);
+      fault::Registry::Instance().DisableAll();
     }
     ctx.comm.Barrier();
     ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
   });
-  unsetenv("PAPYRUSKV_BATCH_WINDOW_US");
 }
 
 TEST_F(AsyncApiTest, PartialBatchFailureSurfacesPerOpStatuses) {

@@ -29,8 +29,7 @@ inline void ScrubKvEnv() {
         "PAPYRUSKV_FAULT_SEED", "PAPYRUSKV_FAULT_DELAY_US",
         "PAPYRUSKV_TIMEOUT_MS", "PAPYRUSKV_RETRY_MAX",
         "PAPYRUSKV_BARRIER_TIMEOUT_MS", "PAPYRUSKV_BATCH_MAX",
-        "PAPYRUSKV_BATCH_WINDOW_US", "PAPYRUSKV_REPLICAS",
-        "PAPYRUSKV_READ_REPLICAS"}) {
+        "PAPYRUSKV_REPLICAS", "PAPYRUSKV_READ_REPLICAS"}) {
     unsetenv(var);
   }
 }

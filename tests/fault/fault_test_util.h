@@ -28,12 +28,16 @@ class FaultTest : public KvTest {
     // from env and wipe whatever spec the test armed beforehand.
     ASSERT_TRUE(fault::InitFromEnvOnce().ok());
     fault::Registry::Instance().DisableAll();
+    delay_us_ = fault::DelayMicros();
   }
   void TearDown() override {
     fault::Registry::Instance().DisableAll();
+    fault::SetDelayMicros(delay_us_);
     ScrubFaultEnv();
     KvTest::TearDown();
   }
+
+  uint64_t delay_us_ = 0;  // net.msg.delay length, restored at TearDown
 
   // Arms `spec` with a fixed seed; asserts it parsed.
   void Arm(const std::string& spec, uint64_t seed = 1234) {

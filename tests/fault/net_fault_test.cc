@@ -8,6 +8,7 @@
 #include "common/timer.h"
 #include "core/db_shard.h"
 #include "core/runtime.h"
+#include "obs/metrics.h"
 #include "fault_test_util.h"
 
 namespace papyrus::testutil {
@@ -113,9 +114,9 @@ TEST_F(NetFaultTest, DroppedMessagesAreRetriedToSuccess) {
 TEST_F(NetFaultTest, PersistentDropSurfacesTimeoutAndMarksSuspect) {
   // Rank 0 drops every runtime message it sends: its remote operations
   // must fail with PAPYRUSKV_ERR_TIMEOUT after bounded retries — not hang
-  // — and the unreachable peer must be marked suspect.  Covers both the
-  // pipeline's frame ladder (sync put) and the caller-side one (sync get
-  // on an idle ops lane).
+  // — and the unreachable peer must be marked suspect.  Covers the
+  // caller-side ladder of a sync put and of a sync get, each on an idle
+  // chain.
   setenv("PAPYRUSKV_TIMEOUT_MS", "50", 1);
   setenv("PAPYRUSKV_RETRY_MAX", "2", 1);
   RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
@@ -138,8 +139,8 @@ TEST_F(NetFaultTest, PersistentDropSurfacesTimeoutAndMarksSuspect) {
       auto* rt = papyrus::core::KvRuntime::Current();
       EXPECT_TRUE(rt->IsSuspect(1));
 
-      // Idle the ops lane and forget the suspect, so the get below runs
-      // the caller thread's own RequestReply ladder and must re-mark it.
+      // Idle the chain and forget the suspect, so the get below runs the
+      // caller thread's own reply ladder and must re-mark it.
       rt->pipeline().Drain();
       rt->ClearFaultState();
       auto& reg = rt->metrics();
@@ -237,6 +238,59 @@ TEST_F(NetFaultTest, RelaxedFenceCompletesWhenOwnerNeverAcks) {
     ctx.comm.Barrier();
     ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
   });
+}
+
+TEST_F(NetFaultTest, DeadPeerDoesNotStallTrafficToHealthyPeers) {
+  // Rank 2 goes silent (every message it sends is dropped) while rank 0
+  // has an unacked put_async to it.  That frame sits in its retry ladder
+  // for max_attempts x 200ms, but it holds only rank 2's chain: rank 0's
+  // sync puts and gets to rank 1 must each finish within one reply
+  // timeout.  The bound is read from rank 0's kv.put_us / kv.get_us
+  // histogram max.
+  setenv("PAPYRUSKV_TIMEOUT_MS", "200", 1);
+  const uint64_t kReplyTimeoutUs = 200'000;
+  RunKv(3, tmp_.path(), [&](net::RankContext& ctx) {
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_SEQUENTIAL;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("isodb", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    auto shard = papyrus::core::DbHandle(db);
+    ctx.comm.Barrier();
+
+    if (ctx.rank == 0) {
+      auto& reg = papyrus::core::KvRuntime::Current()->metrics();
+      Arm("net.msg.drop=rank2:1.0");
+      const std::string dead_key = KeysOwnedBy(shard, 2, 1)[0];
+      papyruskv_event_t ev = 0;
+      ASSERT_EQ(papyruskv_put_async(db, dead_key.data(), dead_key.size(),
+                                    "lost", 4, &ev),
+                PAPYRUSKV_SUCCESS);
+      const auto keys = KeysOwnedBy(shard, 1, 10);
+      for (const auto& k : keys) {
+        ASSERT_EQ(PutStr(db, k, "iso:" + k), PAPYRUSKV_SUCCESS) << k;
+      }
+      for (const auto& k : keys) {
+        std::string out;
+        ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS) << k;
+        EXPECT_EQ(out, "iso:" + k);
+      }
+      const obs::HistogramData puts = reg.GetHistogram("kv.put_us").Snapshot();
+      const obs::HistogramData gets = reg.GetHistogram("kv.get_us").Snapshot();
+      EXPECT_EQ(puts.count, keys.size());
+      EXPECT_EQ(gets.count, keys.size());
+      EXPECT_LT(puts.max, kReplyTimeoutUs);
+      EXPECT_LT(gets.max, kReplyTimeoutUs);
+      // The dead peer's op itself still ends by its deadline.
+      EXPECT_EQ(papyruskv_wait(db, ev), PAPYRUSKV_ERR_TIMEOUT);
+      EXPECT_TRUE(papyrus::core::KvRuntime::Current()->IsSuspect(2));
+      fault::Registry::Instance().DisableAll();
+    }
+    ctx.comm.Barrier();
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
+  unsetenv("PAPYRUSKV_TIMEOUT_MS");
 }
 
 TEST_F(NetFaultTest, DuplicatedMessagesAreHarmless) {

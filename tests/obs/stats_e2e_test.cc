@@ -182,7 +182,6 @@ TEST_F(ObsE2eTest, TraceEnvProducesChromeTrace) {
         // timeline thread, present when PAPYRUSKV_TIMELINE_MS is set).
         EXPECT_TRUE(lane == "app" || lane == "compaction" ||
                     lane == "handler" || lane == "aux" ||
-                    lane == "async" || lane == "async_repl" ||
                     lane == "sampler")
             << lane;
         saw_named_thread = true;

@@ -38,7 +38,6 @@ std::vector<GetMultiOp> SampleOps(const std::string& key) {
 std::string NoContextGetMulti(uint32_t dbid, uint32_t resp_tag,
                               uint32_t caller_group, const std::string& key) {
   std::string out;
-  out.push_back(static_cast<char>(kBatchVersion));
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutFixed32(&out, caller_group);
@@ -52,7 +51,6 @@ TEST(TraceWireTest, NoContextEncodingIsLegacyByteIdentical) {
   // Default (invalid) context: the encoder adds nothing ahead of the body.
   const std::string wire = EncodePutBatch(7, 101, SampleRecords());
   std::string body;
-  body.push_back(static_cast<char>(kBatchVersion));
   PutFixed32(&body, 7);
   PutFixed32(&body, 101);
   PutFixed32(&body, 2);
@@ -153,9 +151,10 @@ TEST(TraceWireTest, DecodersAcceptNullContextOut) {
 }
 
 TEST(TraceWireTest, HeaderFirstByteCannotCollideWithLegacyBodies) {
-  // The magic's little-endian first byte is 0xff; every frame body starts
-  // with the batch version byte, so the sniff in GetTraceCtx is
-  // unambiguous.
+  // A traced frame starts with the magic word (first byte 0xff).  An
+  // untraced body opens with a small integer or a 0/1 flag byte — never the
+  // magic — so the sniff in GetTraceCtx is unambiguous, even for the
+  // election probe answer of a promoted rank (epoch UINT64_MAX).
   for (const std::string& with_ctx :
        {EncodePutBatch(1, 100, SampleRecords(), MakeCtx()),
         EncodeGetMulti(1, 100, 0, SampleOps("k"), MakeCtx())}) {
@@ -163,8 +162,22 @@ TEST(TraceWireTest, HeaderFirstByteCannotCollideWithLegacyBodies) {
   }
   for (const std::string& no_ctx :
        {EncodePutBatch(1, 100, SampleRecords()),
-        EncodeGetMulti(1, 100, 0, SampleOps("k"))}) {
-    EXPECT_EQ(static_cast<unsigned char>(no_ctx[0]), kBatchVersion);
+        EncodePutBatchAck({PAPYRUSKV_SUCCESS}),
+        EncodeGetMulti(1, 100, 0, SampleOps("k")),
+        EncodeGetMultiResp({GetMultiResult{}}),
+        EncodeReplAppend(1, 100, ReplAppendMeta{}, SampleRecords()),
+        EncodeReplAppendAck(3, 9, true),
+        EncodeReplQuery(1, 100, 2, true),
+        EncodeReplQueryResp(UINT64_MAX, 9, true),
+        EncodeReplRead(1, 100, 2, "k"),
+        EncodeReplReadResp(true, true, false, "v")}) {
+    ASSERT_GE(no_ctx.size(), 4u);
+    EXPECT_NE(DecodeFixed32(no_ctx.data()), kTraceMagic);
+    Slice in(no_ctx);
+    obs::TraceContext ctx = MakeCtx();
+    ASSERT_TRUE(GetTraceCtx(&in, &ctx));
+    EXPECT_FALSE(ctx.valid());
+    EXPECT_EQ(in.size(), no_ctx.size());  // nothing consumed
   }
 }
 

@@ -1,4 +1,4 @@
-"""checks — the five papyrus_analyze semantic rules.
+"""checks — the five papyrus_analyze intra-process rules.
 
 Each check takes the Model from cxx_model (optionally refined by
 clang_frontend) and yields Violation objects.  Every rule has a per-line
@@ -25,18 +25,26 @@ Rules:
                      that flows into reserve()/resize() must pass through
                      ReserveBound (the fuzz-found bad_alloc class).
   pipeline-blocking  Call-graph reachability: no blocking call (Recv,
-                     any Barrier, Drain, Wait, ...) may be reachable from
-                     AsyncPipeline::ProcessCycle — the pipeline thread
-                     must never block on collectives or its own fence.
+                     any Barrier, Drain, Wait, a reply wait, ...) may be
+                     reachable from the RPC engine's handler-side entry
+                     points (AsyncPipeline::OnAck / ExpireDeadlines) — the
+                     handler thread runs every engine ack and retry, so it
+                     must never block on receives, collectives, fences,
+                     completion waits or another op's reply.
                      The same walk also covers the timeline sampler tick
                      (TimelineSampler::SampleOnce) with a stricter ban:
                      no lock acquisition at all — no raw Lock/ReaderLock,
                      no RAII lock guards, and no registry lookups
                      (GetCounter/GetGauge/GetHistogram take the registry
                      mutex; resolve pointers at Configure time instead).
-  wire-version       A diff that edits the body of a versioned wire-frame
-                     codec must also touch the version byte or the
-                     byte-pin tests (run with --diff-base/--diff-file).
+  rpc-under-lock     No mutex may be held across a reply wait
+                     (RequestReply / AwaitReply), directly or through a
+                     callee that (transitively) waits: a lock held for up
+                     to max_attempts × reply_timeout stalls every thread
+                     that needs it — the handler included, which is what
+                     answers the peers' own probes.  Held means an RAII
+                     guard in scope, a manual Lock() not yet unlocked, or a
+                     REQUIRES(...) contract on the function.
 """
 
 import re
@@ -45,20 +53,27 @@ import re
 # Repo-specific configuration (fixture self-tests override via parameters).
 # ---------------------------------------------------------------------------
 
-# Roots of the pipeline-blocking reachability walk.
-PIPELINE_ROOTS = ("ProcessCycle",)
+# Roots of the pipeline-blocking reachability walk: the RPC engine's
+# handler-side entry points (its ack path and its deadline path).
+PIPELINE_ROOTS = ("OnAck", "ExpireDeadlines")
 
-# Call names that block (or deadlock) when reached from the pipeline
-# thread: unbounded receives, every barrier flavor (bounded or not — a
-# collective from the pipeline thread deadlocks the rank), the pipeline's
-# own completion fence, and completion-handle waits.
+# Reply waits: a caller blocked in one waits up to max_attempts ×
+# reply_timeout for a peer.
+RPC_WAITS = frozenset({"RequestReply", "AwaitReply"})
+
+# Call names that block (or deadlock) when reached from the handler's
+# engine path: unbounded receives, every barrier flavor (bounded or not — a
+# collective from the handler deadlocks the rank), the engine's own
+# completion fence, completion-handle waits, and reply waits (the handler
+# must never wait for a reply that only it could receive or that belongs to
+# a peer it is meant to be serving).
 BLOCKING_CALLS = frozenset({
     "Recv", "RecvInternal", "RecvResponse",
     "Barrier", "BarrierFor", "CollectiveBarrier", "RestartBarrier",
     "SignalWait", "WaitEvent", "WaitAsyncOp", "Wait",
     "WaitMigrationsDrained", "WaitFlushesDrained",
     "Drain", "Fence",
-})
+}) | RPC_WAITS
 
 # Roots of the sampler-tick reachability walk.  The timeline sampler's
 # tick runs at a fixed cadence on a thread the store never waits for, so
@@ -76,12 +91,6 @@ LOCKING_CALLS = frozenset({
     "Lock", "ReaderLock", "TakeSnapshot",
     "GetCounter", "GetGauge", "GetHistogram",
 })
-
-# Files whose change "proves version awareness" for wire-version, plus the
-# token that marks the version byte itself.
-WIRE_GUARD_FILES = ("src/core/wire.h", "tests/async/batch_wire_test.cc")
-WIRE_VERSION_TOKEN = "kBatchVersion"
-
 
 class Violation:
     def __init__(self, rule, relpath, line, token, msg):
@@ -454,12 +463,13 @@ def check_pipeline_blocking(model, roots=PIPELINE_ROOTS,
                             sampler_roots=SAMPLER_ROOTS,
                             locking=LOCKING_CALLS):
     out = []
-    # Two walks under one rule: the pipeline thread must never *block*;
+    # Two walks under one rule: the handler's engine path must never
+    # *block*;
     # the sampler tick additionally must never *take a lock* (a tick
     # stalled behind a writer skews every window after it), so its walk
     # also bans LOCKING_CALLS and flags RAII lock guards in any reached
     # body.
-    walks = [(roots, blocking, "pipeline thread", False),
+    walks = [(roots, blocking, "handler's engine path", False),
              (sampler_roots, blocking | locking, "sampler tick", True)]
     for walk_roots, banned, who, scan_raii in walks:
         root_fns = [fn for fn in model.functions if fn.name in walk_roots]
@@ -510,91 +520,112 @@ def check_pipeline_blocking(model, roots=PIPELINE_ROOTS,
 
 
 # ---------------------------------------------------------------------------
-# Rule 5: wire-version discipline.
+# Rule 5: no mutex held across a reply wait.
 # ---------------------------------------------------------------------------
 
-_HUNK_RE = re.compile(r"^@@ -\d+(?:,\d+)? \+(\d+)(?:,(\d+))? @@")
+_MUTEX_NAME_RE = re.compile(r"(?:^|_)mu_?$")
 
 
-def parse_unified_diff(diff_text):
-    """Returns {new_path: (set(new_line_numbers_touched),
-    [changed_line_contents])}."""
-    files = {}
-    cur = None
-    new_line = 0
-    for raw in diff_text.splitlines():
-        if raw.startswith("+++ "):
-            path = raw[4:].strip()
-            if path.startswith("b/"):
-                path = path[2:]
-            cur = files.setdefault(path, (set(), []))
-            continue
-        if cur is None:
-            continue
-        m = _HUNK_RE.match(raw)
-        if m:
-            new_line = int(m.group(1))
-            continue
-        if raw.startswith("+") and not raw.startswith("+++"):
-            cur[0].add(new_line)
-            cur[1].append(raw[1:])
-            new_line += 1
-        elif raw.startswith("-") and not raw.startswith("---"):
-            # Deletion: the surrounding new-file position is touched.
-            cur[0].add(new_line)
-            cur[1].append(raw[1:])
-        elif not raw.startswith("\\"):
-            new_line += 1
-    return files
-
-
-def check_wire_version(model, diff_text, guard_files=WIRE_GUARD_FILES,
-                       version_token=WIRE_VERSION_TOKEN):
-    out = []
-    if not diff_text:
-        return out
-    touched = parse_unified_diff(diff_text)
-    # Version-aware edits: a guard file changed, or any changed line
-    # mentions the version token, or an explicit escape rides the diff.
-    aware = any(g in touched for g in guard_files)
-    for _, (_, contents) in touched.items():
-        for line in contents:
-            if version_token in line or "analyze:allow-wire-version" in line:
-                aware = True
-    if aware:
-        return out
-    # Versioned codec bodies: functions that consume/emit the version byte.
+def _rpc_waiters(model, waits):
+    """qualname -> call chain (tuple of names) for every function that
+    waits for a reply, directly or through resolved callees (fixpoint over
+    the same receiver-aware edges as the blocking walk)."""
+    chains = {}
     for fn in model.functions:
-        if fn.relpath not in touched:
-            continue
-        body_text = " ".join(t for _, t in fn.body)
-        if version_token not in body_text and \
-                "GetBatchVersion" not in body_text:
-            continue
-        lines, _ = touched[fn.relpath]
-        hit = sorted(ln for ln in lines
-                     if fn.start_line <= ln <= fn.end_line)
-        if hit:
+        for _, callee, _, _ in fn.calls_ex():
+            if callee in waits:
+                chains[fn.qualname] = (callee,)
+                break
+    changed = True
+    while changed:
+        changed = False
+        for fn in model.functions:
+            if fn.qualname in chains:
+                continue
+            for _, callee, kind, recv in fn.calls_ex():
+                hit = next((t for t in _resolve_edges(model, fn, callee,
+                                                      kind, recv)
+                            if t.qualname in chains), None)
+                if hit is not None:
+                    chains[fn.qualname] = (hit.qualname,) + \
+                        chains[hit.qualname]
+                    changed = True
+                    break
+    return chains
+
+
+def check_rpc_under_lock(model, waits=RPC_WAITS):
+    out = []
+    chains = _rpc_waiters(model, waits)
+    for fn in model.functions:
+        cls = model.classes.get(fn.class_name) if fn.class_name else None
+        mutexes = cls.mutexes if cls else set()
+
+        def is_mutex(name):
+            return name in mutexes or _MUTEX_NAME_RE.search(name)
+
+        annots = cls.method_annots.get(fn.name, {}) if cls else {}
+        entry = sorted(m for m in annots.get("requires", []) if is_mutex(m))
+        n = len(fn.body)
+        held_at = [set(entry) for _ in range(n)]
+        manual = {}
+        for i, (_, text) in enumerate(fn.body):
+            for m in _RAII_LOCK_RE.finditer(text):
+                mu = _member_name(m.group(1))
+                d = fn.depth[i]
+                for j in range(i, n):
+                    if j > i and fn.depth[j] < d:
+                        break
+                    held_at[j].add(mu)
+            for m in _MANUAL_LOCK_RE.finditer(text):
+                if is_mutex(m.group(1)):
+                    manual[m.group(1)] = i
+            for m in _MANUAL_UNLOCK_RE.finditer(text):
+                start = manual.pop(m.group(1), None)
+                if start is not None:
+                    for j in range(start, i):
+                        held_at[j].add(m.group(1))
+        for mu, start in manual.items():
+            for j in range(start, n):
+                held_at[j].add(mu)
+
+        fm = model.files[fn.relpath]
+        idx_of_line = {ln: i for i, (ln, _) in enumerate(fn.body)}
+        for lineno, callee, kind, recv in fn.calls_ex():
+            held = held_at[idx_of_line[lineno]]
+            if not held:
+                continue
+            if callee in waits:
+                chain = (callee,)
+            else:
+                hit = next((t for t in _resolve_edges(model, fn, callee,
+                                                      kind, recv)
+                            if t.qualname in chains), None)
+                if hit is None:
+                    continue
+                chain = (hit.qualname,) + chains[hit.qualname]
+            if fm.escape(lineno, "rpc-under-lock"):
+                continue
             out.append(Violation(
-                "wire-version", fn.relpath, hit[0],
-                "versioned:%s" % fn.name,
-                "diff edits versioned frame codec %s (line %d) without "
-                "touching %s or the byte-pin tests (%s) — bump the "
-                "version byte or re-pin the bytes" %
-                (fn.name, hit[0], version_token,
-                 ", ".join(guard_files))))
+                "rpc-under-lock", fn.relpath, lineno,
+                "%s->%s" % (fn.qualname, chain[0]),
+                "%s waits for a reply (%s) while holding %s — a peer that "
+                "never answers keeps the lock for the whole retry ladder; "
+                "wait first, then publish the result under the lock" %
+                (fn.qualname, " -> ".join(chain),
+                 "/".join(sorted(held)))))
     return out
 
 
 ALL_CHECKS = ("guarded-by", "status-discard", "codec-symmetry",
-              "pipeline-blocking", "wire-version")
+              "pipeline-blocking", "rpc-under-lock")
 
 
-def run_all(model, diff_text=None):
+def run_all(model):
     out = []
     out.extend(check_guarded_by(model))
     out.extend(check_status_discard(model))
     out.extend(check_codec_symmetry(model))
     out.extend(check_pipeline_blocking(model))
-    out.extend(check_wire_version(model, diff_text))
+    out.extend(check_rpc_under_lock(model))
     return out

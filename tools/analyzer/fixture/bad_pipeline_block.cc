@@ -1,5 +1,5 @@
 // Fixture: trips pipeline-blocking — an unbounded Recv is reachable
-// from ProcessCycle through a helper one call-graph hop away.
+// from OnAck (the handler's engine path) through a helper one hop away.
 namespace fixture {
 
 class Mailbox {
@@ -10,20 +10,20 @@ class Mailbox {
 
 class AsyncPipeline {
  public:
-  void ProcessCycle();
+  void OnAck();
 
  private:
   void DrainCompletions();
   Mailbox mail_;
 };
 
-void AsyncPipeline::ProcessCycle() {
+void AsyncPipeline::OnAck() {
   DrainCompletions();
 }
 
 void AsyncPipeline::DrainCompletions() {
   int msg = 0;
-  mail_.Recv(&msg);  // BAD: unbounded receive on the pipeline thread
+  mail_.Recv(&msg);  // BAD: unbounded receive on the handler's engine path
 }
 
 }  // namespace fixture

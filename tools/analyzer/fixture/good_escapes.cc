@@ -46,7 +46,18 @@ void Justified() {
   Migrate(3);  // analyze:allow-status-discard: fixture escape check
 }
 
-// analyze:allow-pipeline-blocking: fixture — not the real pipeline
-void ProcessCycleHelper();
+// analyze:allow-pipeline-blocking: fixture — not the real engine
+void OnAckHelper();
+
+class Runtime {
+ public:
+  int RequestReply(int dst);
+};
+
+int ProbeUnderLock(Runtime* rt, Mutex* mu) {
+  MutexLock lock(mu);
+  // analyze:allow-rpc-under-lock: fixture — a lock no other thread takes
+  return rt->RequestReply(1);
+}
 
 }  // namespace fixture

@@ -1,4 +1,4 @@
-// Fixture: must stay clean — the pipeline cycle reaches only bounded
+// Fixture: must stay clean — the engine's ack path reaches only bounded
 // waits (RecvFor), never the blocking call set.
 namespace fixture {
 
@@ -9,14 +9,14 @@ class Mailbox {
 
 class AsyncPipeline {
  public:
-  void ProcessCycle();
+  void OnAck();
 
  private:
   void PollCompletions();
   Mailbox mail_;
 };
 
-void AsyncPipeline::ProcessCycle() {
+void AsyncPipeline::OnAck() {
   PollCompletions();
 }
 

@@ -4,7 +4,8 @@
 Nine repo-specific checks the regex lint (tools/papyrus_lint.py) cannot
 express.  Intra-process (checks.py, DESIGN.md §10): guarded-by
 completeness, status-discard discipline, codec symmetry,
-pipeline-blocking reachability, wire-version discipline.  Message-flow
+pipeline-blocking reachability, no lock held across a reply wait
+(rpc-under-lock).  Message-flow
 (protocol_checks.py, DESIGN.md §11): proto-handler opcode coverage,
 proto-resp-tag discipline, proto-deadlock shapes, and proto-spec-drift
 against the committed PROTOCOL.json / docs/PROTOCOL.md.
@@ -21,8 +22,6 @@ Usage:
   papyrus_analyze.py [paths...]            analyze (default roots: src)
   papyrus_analyze.py --self-test           run the full fixture suite
   papyrus_analyze.py --self-test-protocol  protocol fixtures only
-  papyrus_analyze.py --diff-base REF       also run wire-version vs git REF
-  papyrus_analyze.py --diff-file F         wire-version against a saved diff
   papyrus_analyze.py --baseline FILE       suppress known findings
   papyrus_analyze.py --write-baseline      rewrite baseline from findings
   papyrus_analyze.py --write-spec          regenerate PROTOCOL.json + docs
@@ -39,7 +38,6 @@ immediately preceding pure-comment line.
 import argparse
 import json
 import os
-import subprocess
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -107,23 +105,7 @@ def resolve_frontend(requested):
     return "text", None
 
 
-def git_diff(base):
-    try:
-        proc = subprocess.run(
-            ["git", "-C", REPO_ROOT, "diff", base, "--", "src", "tests"],
-            capture_output=True, text=True, timeout=60, check=False)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        print("papyrus_analyze: git diff %s failed: %s" % (base, exc),
-              file=sys.stderr)
-        sys.exit(2)
-    if proc.returncode != 0:
-        print("papyrus_analyze: git diff %s failed:\n%s"
-              % (base, proc.stderr.strip()), file=sys.stderr)
-        sys.exit(2)
-    return proc.stdout
-
-
-def analyze(paths, diff_text, refine):
+def analyze(paths, refine):
     model = cxx_model.build_model(paths, REPO_ROOT)
     if refine is not None:
         try:
@@ -131,7 +113,7 @@ def analyze(paths, diff_text, refine):
         except Exception as exc:  # refinement must never break the run
             print("papyrus_analyze: clang refinement failed (%s); "
                   "continuing with text frontend" % exc, file=sys.stderr)
-    violations = checks.run_all(model, diff_text)
+    violations = checks.run_all(model)
     proto = protocol_model.build_protocol_model(model)
     has_wire = SPEC_SOURCE in model.files
     violations.extend(protocol_checks.run_all(
@@ -187,16 +169,11 @@ def write_json(path, violations, frontend):
 # escapes stay clean — same contract as papyrus_lint.py --self-test.
 # ---------------------------------------------------------------------------
 
-def _fixture_run(name, diff_name=None, spec_json=None, spec_md=None):
+def _fixture_run(name, spec_json=None, spec_md=None):
     """Runs both check families over one fixture file."""
     path = os.path.join(FIXTURE_DIR, name)
-    diff_text = None
-    if diff_name:
-        with open(os.path.join(FIXTURE_DIR, diff_name),
-                  encoding="utf-8") as f:
-            diff_text = f.read()
     model = cxx_model.build_model([path], FIXTURE_DIR)
-    vs = checks.run_all(model, diff_text)
+    vs = checks.run_all(model)
     proto = protocol_model.build_protocol_model(model)
     vs.extend(protocol_checks.run_all(
         model, proto,
@@ -207,34 +184,33 @@ def _fixture_run(name, diff_name=None, spec_json=None, spec_md=None):
     return vs
 
 
-# (fixture, optional diff, optional spec json, rules that MUST trip)
+# (fixture, optional spec json, rules that MUST trip)
 INTRA_BAD_CASES = [
-    ("bad_guarded_by.h", None, None, {"guarded-by"}),
-    ("bad_status_discard.cc", None, None, {"status-discard"}),
-    ("bad_codec_asym.cc", None, None, {"codec-symmetry"}),
-    ("bad_pipeline_block.cc", None, None, {"pipeline-blocking"}),
-    ("bad_sampler_lock.cc", None, None, {"pipeline-blocking"}),
-    ("wire_fixture.cc", "bad_wire_version.diff", None, {"wire-version"}),
+    ("bad_guarded_by.h", None, {"guarded-by"}),
+    ("bad_status_discard.cc", None, {"status-discard"}),
+    ("bad_codec_asym.cc", None, {"codec-symmetry"}),
+    ("bad_pipeline_block.cc", None, {"pipeline-blocking"}),
+    ("bad_sampler_lock.cc", None, {"pipeline-blocking"}),
+    ("bad_rpc_under_lock.cc", None, {"rpc-under-lock"}),
 ]
 PROTO_BAD_CASES = [
-    ("bad_proto_orphan.cc", None, None, {"proto-handler"}),
-    ("bad_proto_resp_tag.cc", None, None, {"proto-resp-tag"}),
-    ("bad_proto_collective.cc", None, None, {"proto-deadlock"}),
-    ("bad_proto_recv_cycle.cc", None, None, {"proto-deadlock"}),
-    ("proto_fixture.cc", None, "bad_proto_spec.json",
-     {"proto-spec-drift"}),
+    ("bad_proto_orphan.cc", None, {"proto-handler"}),
+    ("bad_proto_resp_tag.cc", None, {"proto-resp-tag"}),
+    ("bad_proto_collective.cc", None, {"proto-deadlock"}),
+    ("bad_proto_recv_cycle.cc", None, {"proto-deadlock"}),
+    ("proto_fixture.cc", "bad_proto_spec.json", {"proto-spec-drift"}),
 ]
 INTRA_GOOD_CASES = [
-    ("good_annotated.h", None, None),
-    ("good_escapes.cc", None, None),
-    ("good_codec.cc", None, None),
-    ("good_pipeline.cc", None, None),
-    ("good_sampler.cc", None, None),
-    ("wire_fixture.cc", "good_wire_version.diff", None),
+    ("good_annotated.h", None),
+    ("good_escapes.cc", None),
+    ("good_codec.cc", None),
+    ("good_pipeline.cc", None),
+    ("good_sampler.cc", None),
+    ("good_rpc_under_lock.cc", None),
 ]
 PROTO_GOOD_CASES = [
-    ("good_proto.cc", None, None),
-    ("proto_fixture.cc", None, "good_proto_spec.json"),
+    ("good_proto.cc", None),
+    ("proto_fixture.cc", "good_proto_spec.json"),
 ]
 
 
@@ -250,15 +226,15 @@ def self_test(protocol_only=False):
     good_cases = PROTO_GOOD_CASES if protocol_only \
         else INTRA_GOOD_CASES + PROTO_GOOD_CASES
 
-    for name, diff, spec, want in bad_cases:
-        got = {v.rule for v in _fixture_run(name, diff, spec)}
+    for name, spec, want in bad_cases:
+        got = {v.rule for v in _fixture_run(name, spec)}
         missing = want - got
         if missing:
             failures.append("fixture %s: expected rule(s) %s did not trip "
                             "(got: %s)" % (name, sorted(missing),
                                            sorted(got) or "nothing"))
-    for name, diff, spec in good_cases:
-        vs = _fixture_run(name, diff, spec)
+    for name, spec in good_cases:
+        vs = _fixture_run(name, spec)
         if vs:
             failures.append("fixture %s: expected clean, got:\n  %s"
                             % (name, "\n  ".join(str(v) for v in vs)))
@@ -318,10 +294,6 @@ def main(argv=None):
     ap.add_argument("--json", metavar="FILE",
                     help="also write findings (rule, file, line, message) "
                          "as JSON to FILE")
-    ap.add_argument("--diff-base", metavar="REF",
-                    help="run wire-version against `git diff REF`")
-    ap.add_argument("--diff-file", metavar="FILE",
-                    help="run wire-version against a saved unified diff")
     ap.add_argument("--frontend", choices=("auto", "text", "clang"),
                     default="auto",
                     help="C++ frontend (default: auto — clang refinement "
@@ -340,17 +312,10 @@ def main(argv=None):
             print("papyrus_analyze: no such path: %s" % r, file=sys.stderr)
             return 2
 
-    diff_text = None
-    if args.diff_file:
-        with open(args.diff_file, encoding="utf-8") as f:
-            diff_text = f.read()
-    elif args.diff_base:
-        diff_text = git_diff(args.diff_base)
-
     frontend, refine = resolve_frontend(args.frontend)
     if args.write_spec:
         return write_spec(roots, refine)
-    violations = analyze(roots, diff_text, refine)
+    violations = analyze(roots, refine)
 
     if args.json:
         write_json(args.json, violations, frontend)
