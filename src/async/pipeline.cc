@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 #include "common/env.h"
@@ -147,15 +148,70 @@ OpHandle AsyncPipeline::SubmitGet(int dst, uint32_t dbid, const Slice& key,
 
 Status AsyncPipeline::PutSync(int dst, uint32_t dbid, const Slice& key,
                               const Slice& value, bool tombstone) {
-  return Call(dst, NewOp(Kind::kPut, dbid, key, value, tombstone))->Wait();
+  const uint64_t start = obs::TickClock::Now();
+  if (!ClaimIdleChain(dst)) {
+    return Enqueue(dst, NewOp(Kind::kPut, dbid, key, value, tombstone))
+        ->Wait();
+  }
+  const KvView record{key, value, tombstone};
+  const int tag = rt_.AllocRespTag();
+  net::Message reply;
+  Status s;
+  {
+    // The RPC span ends with the call, as an engine frame's ends at its ack.
+    obs::OpSpan rpc("net", "put_batch.rpc", obs::OpSpan::kDetached);
+    rpc.MarkFlowOut();
+    s = CallInline(dst, Kind::kPut, tag,
+                   core::EncodePutBatch(dbid, static_cast<uint32_t>(tag),
+                                        {&record, 1}, rpc.context()),
+                   &reply);
+  }
+  if (s.ok()) {
+    std::vector<int32_t> statuses;
+    s = core::DecodePutBatchAck(reply.payload, &statuses) &&
+                statuses.size() == 1
+            ? Status(statuses[0])
+            : Status::Corrupted("bad put batch ack");
+  }
+  return RecordInline(Kind::kPut, start, std::move(s));
 }
 
 Status AsyncPipeline::GetSync(int dst, uint32_t dbid, const Slice& key,
                               bool full_search, core::GetResp* resp) {
-  OpHandle h = Call(dst, NewOp(Kind::kGet, dbid, key, Slice(), full_search));
-  Status st = h->Wait();
-  if (st.ok()) *resp = h->TakeResp();
-  return st;
+  const uint64_t start = obs::TickClock::Now();
+  if (!ClaimIdleChain(dst)) {
+    OpHandle h =
+        Enqueue(dst, NewOp(Kind::kGet, dbid, key, Slice(), full_search));
+    Status st = h->Wait();
+    if (st.ok()) *resp = h->TakeResp();
+    return st;
+  }
+  const GetMultiOp op{key, full_search};
+  const int tag = rt_.AllocRespTag();
+  net::Message reply;
+  Status s;
+  {
+    obs::OpSpan rpc("net", "get_multi.rpc", obs::OpSpan::kDetached);
+    rpc.MarkFlowOut();
+    s = CallInline(
+        dst, Kind::kGet, tag,
+        core::EncodeGetMulti(
+            dbid, static_cast<uint32_t>(tag),
+            static_cast<uint32_t>(rt_.layout().GroupOf(rt_.rank())),
+            {&op, 1}, rpc.context()),
+        &reply);
+  }
+  if (s.ok()) {
+    std::vector<GetMultiResult> results;
+    if (!core::DecodeGetMultiResp(reply.payload, &results) ||
+        results.size() != 1) {
+      s = Status::Corrupted("bad get multi response");
+    } else {
+      s = Status(results[0].status);
+      if (s.ok()) *resp = std::move(results[0].resp);
+    }
+  }
+  return RecordInline(Kind::kGet, start, std::move(s));
 }
 
 void AsyncPipeline::SubmitReplAppend(int dst, uint32_t dbid, uint32_t primary,
@@ -214,38 +270,39 @@ OpHandle AsyncPipeline::Enqueue(int dst, Submission s) {
   return h;
 }
 
-OpHandle AsyncPipeline::Call(int dst, Submission s) {
-  OpHandle h = s.handle;
-  const Kind kind = s.kind;
-  {
-    MutexLock lock(&mu_);
-    Chain& c = ChainFor(dst, kind);
-    ++outstanding_;
-    if (c.busy) {
-      // An earlier frame to dst is in flight: queue behind it (SDCB keeps
-      // read-your-writes); the handler sends this op with the chain.
-      c.queue.push_back(std::move(s));
-      ++queued_;
-      PublishDepthLocked();
-      return h;
-    }
-    c.busy = true;
-    PublishDepthLocked();
-  }
-  Frame f;
-  f.dst = dst;
-  f.kind = kind;
-  f.dbid = s.dbid;
-  f.ops.push_back(std::move(s));
-  Status sent(PAPYRUSKV_ERR, "rank crashed (simulated)");
-  net::Message reply;
-  if (!rt_.crashed()) {
+bool AsyncPipeline::ClaimIdleChain(int dst) {
+  MutexLock lock(&mu_);
+  Chain& c = ChainFor(dst, Kind::kPut);
+  if (c.busy) return false;
+  c.busy = true;
+  ++outstanding_;
+  PublishDepthLocked();
+  return true;
+}
+
+Status AsyncPipeline::CallInline(int dst, Kind kind, int tag,
+                                 const std::string& payload,
+                                 net::Message* reply) {
+  Status sent;
+  if (rt_.crashed()) {
+    sent = Status(PAPYRUSKV_ERR, "rank crashed (simulated)");
+  } else {
+    const int op = kind == Kind::kGet ? core::kOpGetMulti : core::kOpPutBatch;
     if (kind == Kind::kGet) c_inline_gets_->Inc();
-    Transmit(f, /*pending=*/nullptr);
-    sent = rt_.AwaitReply(f.dst, f.op, f.payload, f.tag, &reply);
+    (kind == Kind::kGet ? h_get_batch_ : h_put_batch_)->Record(1);
+    c_frames_->Inc();
+    rt_.BeginRequest(dst, op, payload);
+    sent = rt_.AwaitReply(dst, op, payload, tag, reply);
   }
-  Resolve(f, sent, reply.payload);
-  return h;
+  ReleaseChain(dst, kind, sent, /*settled=*/1);
+  return sent;
+}
+
+Status AsyncPipeline::RecordInline(Kind kind, uint64_t start, Status s) {
+  if (!s.ok()) c_op_errors_->Inc();
+  (kind == Kind::kGet ? h_get_op_us_ : h_put_op_us_)
+      ->Record(obs::TickClock::ToMicros(obs::TickClock::Now() - start));
+  return s;
 }
 
 AsyncPipeline::FramePtr AsyncPipeline::NextFrameLocked(int dst, Kind kind) {
@@ -290,11 +347,12 @@ void AsyncPipeline::Launch(FramePtr f) {
     Resolve(*f, Status(PAPYRUSKV_ERR, "rank crashed (simulated)"), {});
     return;
   }
-  Transmit(*f, f);
+  Transmit(std::move(f));
 }
 
-void AsyncPipeline::Transmit(Frame& f, FramePtr pending) {
-  f.tag = rt_.AllocRespTag(/*to_handler=*/pending != nullptr);
+void AsyncPipeline::Transmit(FramePtr fp) {
+  Frame& f = *fp;
+  f.tag = rt_.AllocRespTag(/*to_handler=*/true);
   const auto tag = static_cast<uint32_t>(f.tag);
   f.rpc.emplace(
       "net",
@@ -328,11 +386,8 @@ void AsyncPipeline::Transmit(Frame& f, FramePtr pending) {
       f.op = core::kOpGetMulti;
       std::vector<GetMultiOp> ops;
       ops.reserve(f.ops.size());
-      for (Submission& s : f.ops) {
-        GetMultiOp op;
-        op.key = std::move(s.key);  // the payload carries it from here on
-        op.full_search = s.full_search;
-        ops.push_back(std::move(op));
+      for (const Submission& s : f.ops) {
+        ops.push_back(GetMultiOp{s.key, s.full_search});
       }
       h_get_batch_->Record(static_cast<uint64_t>(ops.size()));
       f.payload = core::EncodeGetMulti(
@@ -352,12 +407,12 @@ void AsyncPipeline::Transmit(Frame& f, FramePtr pending) {
     }
   }
   c_frames_->Inc();
-  FramePtr keep = pending;  // alive through the send below
-  if (pending) {
-    // Entered before the send, so the reply always finds its frame.
+  {
+    // Entered before the send, so the reply always finds its frame; fp
+    // keeps it alive through the send below.
     MutexLock lock(&mu_);
     f.deadline_us = NowMicros() + rt_.retry().reply_timeout_us;
-    pending_[f.tag] = std::move(pending);
+    pending_[f.tag] = fp;
     deadlines_.emplace(f.deadline_us, f.tag);
     if (f.deadline_us < next_deadline_us_.load(std::memory_order_relaxed)) {
       next_deadline_us_.store(f.deadline_us, std::memory_order_relaxed);
@@ -434,44 +489,56 @@ uint64_t AsyncPipeline::ExpireDeadlines() {
   return wait_us;
 }
 
-void AsyncPipeline::Resolve(Frame& f, const Status& sent,
-                            const std::string& reply) {
+void AsyncPipeline::ReleaseChain(int dst, Kind kind, const Status& sent,
+                                 size_t settled) {
   FramePtr next;
-  std::deque<Submission> tail;
+  std::vector<Submission> tail;  // unlike a deque, allocates only if filled
+  bool drained = false;
   {
     MutexLock lock(&mu_);
     if (sent.ok()) {
-      next = NextFrameLocked(f.dst, f.kind);
+      next = NextFrameLocked(dst, kind);
     } else {
       // The submissions queued behind an unacked frame fail unsent: it may
       // still sit unapplied in the peer's mailbox, and sending past it
       // could commit data out of submission order.
-      Chain& c = ChainFor(f.dst, f.kind);
-      tail.swap(c.queue);
+      Chain& c = ChainFor(dst, kind);
+      tail.assign(std::make_move_iterator(c.queue.begin()),
+                  std::make_move_iterator(c.queue.end()));
+      c.queue.clear();
       queued_ -= tail.size();
       c.busy = false;
-      PublishDepthLocked();
     }
+    outstanding_ -= settled;
+    PublishDepthLocked();
+    drained = outstanding_ == 0;
   }
+  if (drained) drain_cv_.NotifyAll();
   // The ack proves the owner applied this frame; the next frame in this
   // destination's chain may now go on the wire.
   Launch(std::move(next));
+  if (tail.empty()) return;
+  for (Submission& sub : tail) {
+    Frame unsent;
+    unsent.dst = dst;
+    unsent.kind = sub.kind;
+    unsent.dbid = sub.dbid;
+    unsent.ops.push_back(std::move(sub));
+    Fail(unsent, sent);
+  }
+  Retire(tail.size());
+}
+
+void AsyncPipeline::Resolve(Frame& f, const Status& sent,
+                            const std::string& reply) {
+  ReleaseChain(f.dst, f.kind, sent, /*settled=*/0);
   f.rpc.reset();  // close the frame's RPC span at ack (or give-up) time
   if (sent.ok()) {
     Complete(f, reply);
   } else {
     Fail(f, sent);
   }
-  const size_t n = f.ops.size() + tail.size();
-  for (Submission& sub : tail) {
-    Frame unsent;
-    unsent.dst = f.dst;
-    unsent.kind = sub.kind;
-    unsent.dbid = sub.dbid;
-    unsent.ops.push_back(std::move(sub));
-    Fail(unsent, sent);
-  }
-  Retire(n);
+  Retire(f.ops.size());
 }
 
 void AsyncPipeline::Complete(Frame& f, const std::string& reply) {

@@ -12,8 +12,11 @@
 // give-up and suspect marking (KvRuntime's retry policy, DESIGN.md §8).
 //
 // Who makes progress: a submitter whose chain is idle encodes and sends the
-// head frame on its own thread; a synchronous put or get then awaits its
-// own reply (KvRuntime::AwaitReply).  Every other frame's reply carries a
+// head frame on its own thread.  A synchronous put or get on an idle chain
+// runs whole on its caller's stack — no completion handle, no heap frame:
+// it claims the chain, sends a one-op frame, awaits its own reply
+// (KvRuntime::AwaitReply) and releases the chain through the same routine
+// an engine frame's ack does.  Every other frame's reply carries a
 // handler-routed resp tag and lands in this rank's handler mailbox: the
 // handler passes it to OnAck, which completes the frame's ops and sends the
 // chain's next frame, and runs ExpireDeadlines before each wait.  No thread
@@ -61,11 +64,12 @@ class MemTable;
 
 namespace papyrus::async {
 
-// Completion handle for one submitted operation.  Created by the engine
-// (or already-completed for inline-resolved ops); waited on by exactly one
-// consumer.  Gets carry their result payload: either a resolved value
-// (kValue — the op never touched the wire) or the owner's GetResp (kResp —
-// the caller runs §2.7 post-processing via DbShard::FinishGet).
+// Completion handle for one queued or async operation.  Created by the
+// engine (or already-completed for ops resolved locally); waited on by
+// exactly one consumer.  Inline sync calls have none.  Gets carry their
+// result payload: either a resolved value (kValue — the op never touched
+// the wire) or the owner's GetResp (kResp — the caller runs §2.7
+// post-processing via DbShard::FinishGet).
 class OpState {
  public:
   enum class Result { kNone, kValue, kResp };
@@ -121,11 +125,11 @@ class AsyncPipeline {
   // network leg and the §2.7 full-search fallback).  On an idle chain the
   // calling thread sends a one-op frame itself and waits for its own reply
   // through KvRuntime::AwaitReply (fresh tag, bounded retry, suspect
-  // marking, PAPYRUSKV_ERR_TIMEOUT); the chain stays busy meanwhile, so
-  // later submissions to `dst` queue behind it and Drain() waits for it.  A
-  // busy chain may carry an earlier put or migration to `dst`, so the op
-  // then queues behind it and SDCB keeps read-your-writes.  GetSync leaves
-  // the owner's reply in *resp when the op succeeds.
+  // marking, PAPYRUSKV_ERR_TIMEOUT), with no OpState; the chain stays busy
+  // meanwhile, so later submissions to `dst` queue behind it and Drain()
+  // waits for it.  A busy chain may carry an earlier put or migration to
+  // `dst`, so the op then queues behind it and SDCB keeps read-your-writes.
+  // GetSync leaves the owner's reply in *resp when the op succeeds.
   Status PutSync(int dst, uint32_t dbid, const Slice& key, const Slice& value,
                  bool tombstone);
   Status GetSync(int dst, uint32_t dbid, const Slice& key, bool full_search,
@@ -203,7 +207,7 @@ class AsyncPipeline {
     Kind kind = Kind::kPut;
     uint32_t dbid = 0;
     int op = 0;   // wire opcode
-    int tag = 0;  // resp tag; the pending-table key of an engine frame
+    int tag = 0;  // handler-routed resp tag; the pending-table key
     std::string payload;
     std::vector<Submission> ops;
     // The RPC leg of the whole frame, open until it is acked or given up:
@@ -230,21 +234,33 @@ class AsyncPipeline {
   // Queues `s`; on an idle chain sends its frame from this thread.
   // Returns s's handle.
   OpHandle Enqueue(int dst, Submission s);
-  // The inline path of PutSync/GetSync: returns the completed handle.
-  OpHandle Call(int dst, Submission s);
+  // The inline path of PutSync/GetSync.  ClaimIdleChain marks dst's idle
+  // ops chain busy and counts the op outstanding; false (nothing changed)
+  // when a frame is in flight.  CallInline then sends the one-op frame
+  // `payload` (encoded with the fresh caller-routed `tag`), awaits its
+  // reply into *reply and releases the chain; it returns the send status.
+  bool ClaimIdleChain(int dst);
+  Status CallInline(int dst, Kind kind, int tag, const std::string& payload,
+                    net::Message* reply);
+  // Counts a finished inline op in async.op_errors and async.*_op_us
+  // (latency from `start`, a TickClock reading: cheaper than NowMicros);
+  // returns `s`.
+  Status RecordInline(Kind kind, uint64_t start, Status s);
   // Next frame of a busy chain whose previous frame resolved: its queued
   // head, or null (the chain goes idle).
   FramePtr NextFrameLocked(int dst, Kind kind) REQUIRES(mu_);
   // Sends `f` (if any); a crashed rank resolves it unsent instead.
   void Launch(FramePtr f);
-  // Encodes `f` with a fresh resp tag and sends its first attempt.  An
-  // engine frame (`pending`, its owner) is first entered in the pending
-  // table, so its reply goes to the handler; an inline frame (null) is
-  // awaited by its sender.
-  void Transmit(Frame& f, FramePtr pending);
-  // `f` was answered (`sent` ok, with `reply`) or not: releases its chain
-  // — the next frame goes out, or every submission queued behind a failed
-  // frame fails unsent with `sent` — then completes f's ops.
+  // Encodes `f` with a fresh handler-routed resp tag, enters it in the
+  // pending table and sends its first attempt.
+  void Transmit(FramePtr f);
+  // A frame to `dst` was answered (`sent` ok) or not: in one section,
+  // releases its chain and retires `settled` of its ops (those with no
+  // handle left to complete).  Then the chain's next frame goes out, or
+  // every submission queued behind a failed frame fails unsent with `sent`.
+  void ReleaseChain(int dst, Kind kind, const Status& sent, size_t settled);
+  // `f` was answered (with `reply`) or not: releases its chain, then
+  // completes and retires f's ops.
   void Resolve(Frame& f, const Status& sent, const std::string& reply);
   // Completes f's ops from its reply payload, or fails all of them.
   void Complete(Frame& f, const std::string& reply);

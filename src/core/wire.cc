@@ -83,7 +83,7 @@ bool DecodeGetResp(const Slice& payload, GetResp* r) {
 
 namespace {
 // count × ([lp key][lp value][u8 tomb]), shared by PutBatch and ReplAppend.
-void PutRecords(std::string* out, const std::vector<KvView>& records) {
+void PutRecords(std::string* out, std::span<const KvView> records) {
   PutFixed32(out, static_cast<uint32_t>(records.size()));
   for (const KvView& r : records) {
     PutLengthPrefixed(out, r.key);
@@ -114,7 +114,7 @@ bool GetRecords(Slice* in, std::vector<KvView>* records) {
 }  // namespace
 
 std::string EncodePutBatch(uint32_t dbid, uint32_t resp_tag,
-                           const std::vector<KvView>& records,
+                           std::span<const KvView> records,
                            const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
@@ -160,7 +160,7 @@ bool DecodePutBatchAck(const Slice& payload, std::vector<int32_t>* statuses,
 
 std::string EncodeGetMulti(uint32_t dbid, uint32_t resp_tag,
                            uint32_t caller_group,
-                           const std::vector<GetMultiOp>& ops,
+                           std::span<const GetMultiOp> ops,
                            const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);
@@ -190,11 +190,8 @@ bool DecodeGetMulti(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
   for (uint32_t i = 0; i < count; ++i) {
     Slice key;
     if (!GetLengthPrefixed(&in, &key) || in.empty()) return false;
-    GetMultiOp op;
-    op.key = key.ToString();
-    op.full_search = (in[0] & kGetFullSearch) != 0;
+    ops->push_back(GetMultiOp{key, (in[0] & kGetFullSearch) != 0});
     in.remove_prefix(1);
-    ops->push_back(std::move(op));
   }
   return in.empty();
 }
@@ -237,7 +234,7 @@ bool DecodeGetMultiResp(const Slice& payload,
 
 std::string EncodeReplAppend(uint32_t dbid, uint32_t resp_tag,
                              const ReplAppendMeta& meta,
-                             const std::vector<KvView>& records,
+                             std::span<const KvView> records,
                              const obs::TraceContext& trace_ctx) {
   std::string out;
   PutTraceCtx(&out, trace_ctx);

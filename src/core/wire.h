@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -144,7 +145,7 @@ bool DecodeGetResp(const Slice& payload, GetResp* r);
 //
 // Decoded records view `payload`, which must outlive them.
 std::string EncodePutBatch(uint32_t dbid, uint32_t resp_tag,
-                           const std::vector<KvView>& records,
+                           std::span<const KvView> records,
                            const obs::TraceContext& trace_ctx = {});
 bool DecodePutBatch(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     std::vector<KvView>* records,
@@ -168,14 +169,17 @@ bool DecodePutBatchAck(const Slice& payload, std::vector<int32_t>* statuses,
 // flags bit 0 (kGetFullSearch): search the owner's SSTables even when the
 // caller is in the owner's storage group — used by the caller's fallback
 // re-query after a failed shared read (§2.7).
+//
+// Keys are views: an encoded op views the caller's key, a decoded one views
+// `payload`, which must outlive it.
 inline constexpr uint8_t kGetFullSearch = 0x01;
 struct GetMultiOp {
-  std::string key;
+  Slice key;
   bool full_search = false;
 };
 std::string EncodeGetMulti(uint32_t dbid, uint32_t resp_tag,
                            uint32_t caller_group,
-                           const std::vector<GetMultiOp>& ops,
+                           std::span<const GetMultiOp> ops,
                            const obs::TraceContext& trace_ctx = {});
 bool DecodeGetMulti(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     uint32_t* caller_group, std::vector<GetMultiOp>* ops,
@@ -218,7 +222,7 @@ struct ReplAppendMeta {
 // Decoded records view `payload`, as in PutBatch.
 std::string EncodeReplAppend(uint32_t dbid, uint32_t resp_tag,
                              const ReplAppendMeta& meta,
-                             const std::vector<KvView>& records,
+                             std::span<const KvView> records,
                              const obs::TraceContext& trace_ctx = {});
 bool DecodeReplAppend(const Slice& payload, uint32_t* dbid,
                       uint32_t* resp_tag, ReplAppendMeta* meta,

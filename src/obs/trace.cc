@@ -196,16 +196,16 @@ TraceContext CurrentTraceContext() { return tls_ctx; }
 // OpSpan
 // ---------------------------------------------------------------------------
 
-OpSpan::OpSpan(const char* cat, std::string name, Mode mode) {
-  Begin(cat, std::move(name), TraceContext(), /*has_remote=*/false, mode);
+OpSpan::OpSpan(const char* cat, const char* name, Mode mode) {
+  Begin(cat, name, TraceContext(), /*has_remote=*/false, mode);
 }
 
-OpSpan::OpSpan(const char* cat, std::string name,
+OpSpan::OpSpan(const char* cat, const char* name,
                const TraceContext& remote_parent) {
-  Begin(cat, std::move(name), remote_parent, /*has_remote=*/true, kScoped);
+  Begin(cat, name, remote_parent, /*has_remote=*/true, kScoped);
 }
 
-void OpSpan::Begin(const char* cat, std::string&& name,
+void OpSpan::Begin(const char* cat, const char* name,
                    const TraceContext& remote_parent, bool has_remote,
                    Mode mode) {
   TraceBuffer* buf = tls_trace;
@@ -220,7 +220,7 @@ void OpSpan::Begin(const char* cat, std::string&& name,
     if (every > 1 && ++tls_kv_ticks % every != 0) return;
   }
   buf_ = buf;
-  name_ = std::move(name);
+  name_ = name;
   cat_ = cat;
   scoped_ = mode == kScoped;
   saved_ = tls_ctx;
@@ -249,7 +249,7 @@ OpSpan::~OpSpan() {
   if (!buf_) return;
   if (scoped_) tls_ctx = saved_;
   TraceEvent ev;
-  ev.name = std::move(name_);
+  ev.name = name_;
   ev.cat = cat_;
   ev.ts_us = start_;
   ev.dur_us = NowMicros() - start_;
@@ -261,11 +261,11 @@ OpSpan::~OpSpan() {
   buf_->AddEvent(std::move(ev));
 }
 
-void RecordSpan(const char* cat, std::string name, uint64_t ts_us,
+void RecordSpan(const char* cat, const char* name, uint64_t ts_us,
                 uint64_t dur_us) {
   TraceBuffer* buf = tls_trace;
   if (!buf || !buf->enabled()) return;
-  buf->Add(std::move(name), cat, ts_us, dur_us);
+  buf->Add(name, cat, ts_us, dur_us);
 }
 
 }  // namespace papyrus::obs

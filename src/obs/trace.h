@@ -198,8 +198,10 @@ class OpSpan {
   // (e.g. the pipeline's in-flight frames) that end out of order.
   enum Mode { kScoped, kDetached };
 
-  OpSpan(const char* cat, std::string name, Mode mode = kScoped);
-  OpSpan(const char* cat, std::string name, const TraceContext& remote_parent);
+  // `name` must outlive the span (every caller passes a literal); it is
+  // copied into the event only when a buffer records it.
+  OpSpan(const char* cat, const char* name, Mode mode = kScoped);
+  OpSpan(const char* cat, const char* name, const TraceContext& remote_parent);
   ~OpSpan();
   OpSpan(const OpSpan&) = delete;
   OpSpan& operator=(const OpSpan&) = delete;
@@ -217,11 +219,11 @@ class OpSpan {
   bool active() const { return buf_ != nullptr; }
 
  private:
-  void Begin(const char* cat, std::string&& name,
+  void Begin(const char* cat, const char* name,
              const TraceContext& remote_parent, bool has_remote, Mode mode);
 
   TraceBuffer* buf_ = nullptr;
-  std::string name_;
+  const char* name_ = "";
   const char* cat_ = "";
   uint64_t start_ = 0;
   TraceContext ctx_;        // this span's identity while open
@@ -234,8 +236,9 @@ class OpSpan {
 
 // Records an already-measured interval as a child of the calling thread's
 // current context (e.g. a queue-wait computed from a message's delivery
-// timestamp after the fact).  No-op without an enabled buffer.
-void RecordSpan(const char* cat, std::string name, uint64_t ts_us,
+// timestamp after the fact).  No-op without an enabled buffer.  `name` is a
+// literal, copied only when recorded.
+void RecordSpan(const char* cat, const char* name, uint64_t ts_us,
                 uint64_t dur_us);
 
 }  // namespace papyrus::obs

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/timer.h"
 #include "core/db_shard.h"
 #include "core/runtime.h"
 #include "obs/metrics.h"
@@ -324,6 +325,84 @@ TEST_F(AsyncApiTest, SyncGetGoesInlineOnlyWhenTheOpsLaneIsIdle) {
       EXPECT_EQ(get_op.Snapshot().count, op0 + 1);
       ASSERT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);
       fault::Registry::Instance().DisableAll();
+    }
+    ctx.comm.Barrier();
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
+}
+
+TEST_F(AsyncApiTest, InlineOpsLeaveTheEngineBooksBalanced) {
+  // Inline sync gets and puts carry no completion handle, so only the
+  // engine's own counts say whether they were retired.  Rank 0 mixes them
+  // with put_async to a healthy owner, then one sync get gives up on a
+  // silenced owner: afterwards a fence must find nothing outstanding (no
+  // ladder to wait out), the gauges must read 0, every get must be counted
+  // once as inline and once as an op latency, and the healthy owner's
+  // chain must still take sync gets inline.
+  setenv("PAPYRUSKV_TIMEOUT_MS", "200", 1);
+  setenv("PAPYRUSKV_RETRY_MAX", "2", 1);
+  RunKv(3, tmp_.path(), [&](net::RankContext& ctx) {
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_SEQUENTIAL;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("booksdb", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    auto shard = papyrus::core::DbHandle(db);
+    ctx.comm.Barrier();
+
+    if (ctx.rank == 0) {
+      auto& reg = papyrus::core::KvRuntime::Current()->metrics();
+      obs::Counter& inline_gets = reg.GetCounter("async.inline_gets");
+      obs::Histogram& get_op = reg.GetHistogram("async.get_op_us");
+      obs::Histogram& put_op = reg.GetHistogram("async.put_op_us");
+      const uint64_t inline0 = inline_gets.Value();
+      const uint64_t get_op0 = get_op.Snapshot().count;
+      const uint64_t put_op0 = put_op.Snapshot().count;
+      const auto healthy = KeysOwnedBy(shard, 1, 4);
+      const std::string silent = KeysOwnedBy(shard, 2, 1)[0];
+      uint64_t gets = 0;
+      uint64_t puts = 0;
+      std::string out;
+
+      for (size_t i = 0; i < healthy.size(); ++i) {
+        const std::string& k = healthy[i];
+        papyruskv_event_t ev = 0;
+        ASSERT_EQ(PutAsyncStr(db, k, "a" + std::to_string(i), &ev),
+                  PAPYRUSKV_SUCCESS);
+        ASSERT_EQ(papyruskv_wait(db, ev), PAPYRUSKV_SUCCESS);  // chain idle
+        ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS);
+        EXPECT_EQ(out, "a" + std::to_string(i));
+        ASSERT_EQ(PutStr(db, k, "s" + std::to_string(i)), PAPYRUSKV_SUCCESS);
+        ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS);
+        EXPECT_EQ(out, "s" + std::to_string(i));
+        gets += 2;
+        puts += 2;
+      }
+      ASSERT_EQ(PutStr(db, silent, "before"), PAPYRUSKV_SUCCESS);
+      ++puts;
+      // Fire-and-forget, left to the fence below.
+      ASSERT_EQ(PutAsyncStr(db, healthy[0], "last", nullptr),
+                PAPYRUSKV_SUCCESS);
+      ++puts;
+
+      Arm("net.msg.drop=rank2:1.0");  // rank 2 applies, but never answers
+      EXPECT_EQ(GetStr(db, silent, &out), PAPYRUSKV_ERR_TIMEOUT);
+      ++gets;
+      const uint64_t t0 = NowMicros();
+      ASSERT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);
+      EXPECT_LT(NowMicros() - t0, 200'000u);  // under one reply timeout
+      fault::Registry::Instance().DisableAll();
+
+      EXPECT_EQ(reg.GetGauge("async.inflight").Value(), 0);
+      EXPECT_EQ(reg.GetGauge("async.queue_depth").Value(), 0);
+      EXPECT_EQ(inline_gets.Value(), inline0 + gets);
+      EXPECT_EQ(get_op.Snapshot().count, get_op0 + gets);
+      EXPECT_EQ(put_op.Snapshot().count, put_op0 + puts);
+
+      ASSERT_EQ(GetStr(db, healthy[0], &out), PAPYRUSKV_SUCCESS);
+      EXPECT_EQ(out, "last");
+      EXPECT_EQ(inline_gets.Value(), inline0 + gets + 1);
     }
     ctx.comm.Barrier();
     ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);

@@ -27,7 +27,7 @@ std::vector<KvView> SampleRecords() {
   return {KvView{"alpha", "value-a", false}, KvView{"beta", "", true}};
 }
 
-std::vector<GetMultiOp> SampleOps(const std::string& key) {
+std::vector<GetMultiOp> SampleOps(const char* key) {  // views a literal
   std::vector<GetMultiOp> ops(1);
   ops[0].key = key;
   ops[0].full_search = true;
